@@ -16,34 +16,15 @@ so ranks match the uncropped matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from functools import lru_cache
+from math import factorial, prod
 
 import numpy as np
 
 from . import exactalg
 from .gqposet import GQPoset
 from .lmatrix import GQBlockStructure, SymbolicMatrix
-from .multiindex import combine, enumerate_constrained, count_constrained
-
-_FACT_CACHE = {}
-
-
-def _fact_tables(p, upto):
-    """Factorials and inverse factorials mod p for 0..upto (requires p > upto)."""
-    have = _FACT_CACHE.get(p)
-    if have is not None and len(have[0]) > upto:
-        return have
-    if upto >= p:
-        raise ValueError("prime %d too small for degree %d" % (p, upto))
-    fact = np.ones(upto + 1, dtype=np.int64)
-    for k in range(1, upto + 1):
-        fact[k] = fact[k - 1] * k % p
-    invfact = np.ones(upto + 1, dtype=np.int64)
-    invfact[upto] = pow(int(fact[upto]), -1, p)
-    for k in range(upto, 0, -1):
-        invfact[k - 1] = invfact[k] * k % p
-    _FACT_CACHE[p] = (fact, invfact)
-    return fact, invfact
+from .multiindex import combine, count_constrained, enumerate_constrained
 
 
 def derivative_coefficient(j_idx, e_idx):
@@ -112,6 +93,7 @@ class HomogeneousSubspace:
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
+        object.__setattr__(self, "p", exactalg.check_prime(self.p))
         if self.p <= self.j:
             raise ValueError("prime must exceed the socle degree")
         for b in self.blocks:
@@ -133,6 +115,8 @@ class HomogeneousSubspace:
         Without an explicit bound tuple the support box is the componentwise
         maximum over all monomials (cropping to it never changes ranks).
         """
+        if any(len(mono) != r for g in generators for mono in g):
+            raise ValueError("every monomial must have r = %d entries" % r)
         if bounds is None:
             box = [0] * r
             for g in generators:
@@ -168,36 +152,125 @@ class HomogeneousSubspace:
 
     @classmethod
     def from_json(cls, obj, p=exactalg.DEFAULT_PRIME):
+        """Parse {"r", "j", "generators", "constraint"?} strictly.
+
+        Every number must be an integer: a float or bool is refused, not truncated.
+        """
+        if not isinstance(obj, dict):
+            raise ValueError("a subspace must be a JSON object")
+        r, j = _json_int(obj["r"], "r"), _json_int(obj["j"], "j")
         bounds = None
         if obj.get("constraint"):
-            bounds = tuple(obj["constraint"]["bounds"])
-        gens = [{tuple(t["monomial"]): t["coeff"] for t in g}
+            bounds = tuple(_json_int(q, "bound") for q in obj["constraint"]["bounds"])
+        gens = [{tuple(_json_int(x, "exponent") for x in t["monomial"]):
+                 _json_int(t["coeff"], "coeff", signed=True) for t in g}
                 for g in obj["generators"]]
-        return cls.from_sparse(obj["r"], obj["j"], gens, bounds, p)
+        return cls.from_sparse(r, j, gens, bounds, p)
 
 
-class _SupportLookup:
-    """Vectorized multi-index -> support position lookup.
+def _json_int(x, what, signed=False):
+    """x if it is an integer (and non-negative unless signed), else ValueError."""
+    if type(x) is not int or (x < 0 and not signed):
+        raise ValueError("%s must be an integer%s, got %r" % (what, "" if signed else " >= 0", x))
+    return x
 
-    Multi-indexes with entries <= j are encoded in mixed radix j+1; since
-    J = D + E has no digit exceed j, the code of J is the sum of codes and a
-    sorted-array search recovers the support position.
+
+@dataclass(frozen=True)
+class _BlockTemplate:
+    """One generator block's share of a DerivativeTemplate; arrays are read-only.
+
+    A multi-index's key is its mixed-radix j+1 code, big-endian and negated:
+    J = D + E has no digit above j, so key(J) = key(D) + key(E), and the
+    descending lex support has ascending keys.  `keys` ends in a sentinel.
     """
 
-    def __init__(self, support, r, j):
-        weights = (j + 1) ** np.arange(r, dtype=np.int64)
-        self.weights = weights
-        codes = np.array(support, dtype=np.int64).reshape(len(support), r) @ weights
-        self.order = np.argsort(codes)
-        self.sorted_codes = codes[self.order]
+    support: tuple  # support monomials J
+    rows: tuple  # operator exponents E
+    keys: np.ndarray  # key(J) per support position, then the sentinel 1
+    fact: np.ndarray  # prod_k J_k! mod p, by support position
+    row_keys: np.ndarray  # key(E) per row exponent
+    col_keys: np.ndarray  # key(D) per block column
+    invfact: np.ndarray  # prod_k 1/D_k! mod p, per block column
+    col_map: np.ndarray  # block column -> template column
 
-    def positions(self, rows):
-        codes = rows @ self.weights
-        at = np.searchsorted(self.sorted_codes, codes)
-        if np.any(at >= len(self.sorted_codes)) or \
-                np.any(self.sorted_codes[np.minimum(at, len(self.sorted_codes) - 1)] != codes):
-            raise KeyError("multi-index outside the support box")
-        return self.order[at]
+    def __post_init__(self):
+        for v in vars(self).values():
+            if isinstance(v, np.ndarray):
+                v.flags.writeable = False
+
+    def positions(self):
+        """Support position of D + E per (E, D), len(support) where D + E leaves it."""
+        keys = self.row_keys[:, None] + self.col_keys
+        pos = np.searchsorted(self.keys, keys)
+        pos[self.keys[pos] != keys] = len(self.support)
+        return pos
+
+
+@dataclass(frozen=True)
+class DerivativeTemplate:
+    """Everything in a stacked derivative matrix except the coefficients z.
+
+    Entry ((E, i), D) of a block is n(J, E) z_i[pos(J)] with J = D + E and
+    n(J, E) = prod_k J_k! / D_k!: the gather (z * fact)[:, pos] * invfact mod p.
+    Positions are rebuilt per assembly; a template holds O(support) data.
+    """
+
+    p: int
+    cols: tuple  # union of the blocks' columns D, descending lex
+    blocks: tuple  # of _BlockTemplate
+
+    def assemble(self, coeffs):
+        """The dense matrix mod p, given one coefficient array per block."""
+        p, ncols = self.p, len(self.cols)
+        out = np.zeros((sum(len(b.rows) * z.shape[0] for b, z in zip(self.blocks, coeffs)),
+                        ncols), dtype=np.int64)
+        top = 0
+        for part, z in zip(self.blocks, coeffs):
+            s, nrows = z.shape[0], len(part.rows) * z.shape[0]
+            zf = np.zeros((s, len(part.support) + 1), dtype=np.int64)
+            zf[:, :-1] = z % p * part.fact % p
+            vals = zf[:, part.positions()] * part.invfact % p
+            view = out[top:top + nrows].reshape(len(part.rows), s, ncols)
+            view[:, :, part.col_map] = vals.transpose(1, 0, 2)
+            top += nrows
+        return out
+
+
+@lru_cache(maxsize=64)
+def derivative_template(r, j, block_bounds, d, p, cropped=True):
+    """The DerivativeTemplate of blocks with these bounds at degree d, mod p.
+
+    Block rows are the operator exponents E of degree j-d and block columns
+    the targets D of degree d, both inside the block's box when cropped;
+    the template's columns are the union of the blocks'.
+    """
+    if j >= p:
+        raise ValueError("prime %d too small for degree %d" % (p, j))
+    if (j + 1) ** r >= 2 ** 63:
+        raise ValueError("monomial codes overflow int64 for r=%d, j=%d" % (r, j))
+    fact = [factorial(k) % p for k in range(j + 1)]
+    invfact = [pow(f, -1, p) for f in fact]
+    weights = -(j + 1) ** np.arange(r - 1, -1, -1, dtype=np.int64)
+
+    def key(monos):
+        return np.array(monos, dtype=np.int64).reshape(len(monos), r) @ weights
+
+    def prod_mod(tab, monos):
+        return np.array([prod(tab[x] for x in m) % p for m in monos], dtype=np.int64)
+
+    boxes = [bounds if cropped else () for bounds in block_bounds]
+    block_cols = [enumerate_constrained(r, d, box) for box in boxes]
+    union = sorted(set().union(*block_cols), reverse=True)
+    col_of = {m: i for i, m in enumerate(union)}
+    parts = []
+    for bounds, box, cols in zip(block_bounds, boxes, block_cols):
+        support = enumerate_constrained(r, j, bounds)
+        rows = enumerate_constrained(r, j - d, box)
+        parts.append(_BlockTemplate(
+            tuple(support), tuple(rows), np.append(key(support), 1), prod_mod(fact, support),
+            key(rows), key(cols), prod_mod(invfact, cols),
+            np.array([col_of[m] for m in cols], dtype=np.intp)))
+    return DerivativeTemplate(p, tuple(union), tuple(parts))
 
 
 @dataclass(frozen=True)
@@ -225,17 +298,9 @@ def standard_structure(bounds, r, j, d, s):
     rr, cc = {}, {}
     for i_el in poset.elements:
         psum = sum(i_el)
-        rr[i_el] = s * _free_count(r - n, e - psum)
-        cc[i_el] = _free_count(r - n, d - (q - psum))
+        rr[i_el] = s * count_constrained(r - n, e - psum)
+        cc[i_el] = count_constrained(r - n, d - (q - psum))
     return GQBlockStructure(poset, rr, cc)
-
-
-def _free_count(nvars, deg):
-    if deg < 0:
-        return 0
-    if nvars == 0:
-        return 1 if deg == 0 else 0
-    return comb(deg + nvars - 1, nvars - 1)
 
 
 def build_matrix(generators, bounds, r, j, d, cropped=True, symbolic=False,
@@ -250,96 +315,29 @@ def build_matrix(generators, bounds, r, j, d, cropped=True, symbolic=False,
     otherwise z is evaluated at the given dense generator matrix.
     """
     bounds = tuple(bounds)
-    generators = np.atleast_2d(np.asarray(generators, dtype=np.int64))
+    generators = GeneratorBlock(r, j, bounds, generators).coeffs  # checks the width
     s = generators.shape[0]
-    e = j - d
-    support = enumerate_constrained(r, j, bounds)
-    index = {m: i for i, m in enumerate(support)}
-    if generators.shape[1] != len(support):
-        raise ValueError("generator width %d != support size %d"
-                         % (generators.shape[1], len(support)))
-    row_es = enumerate_constrained(r, e, bounds if cropped else ())
-    cols = enumerate_constrained(r, d, bounds if cropped else ())
-    row_index = tuple((ee, i) for ee in row_es for i in range(s))
+    t = derivative_template(r, j, (bounds,), d, p, cropped)
+    part = t.blocks[0]
+    row_index = tuple((ee, i) for ee in part.rows for i in range(s))
     if symbolic:
-        grid = []
-        for ee in row_es:
-            for i in range(s):
-                row = []
-                for dd in cols:
-                    jj = combine(ee, dd, "add")
-                    if jj in index:
-                        row.append((derivative_coefficient(jj, ee), (i, jj)))
-                    else:
-                        row.append(None)
-                grid.append(tuple(row))
-        mat = SymbolicMatrix(tuple(grid))
+        sup, miss = part.support, len(part.support)
+        mat = SymbolicMatrix(tuple(
+            tuple(None if q == miss else (derivative_coefficient(sup[q], ee), (i, sup[q]))
+                  for q in prow)
+            for ee, prow in zip(part.rows, part.positions().tolist()) for i in range(s)))
     else:
-        mat = np.zeros((len(row_index), len(cols)), dtype=np.int64)
-        fact, invfact = _fact_tables(p, j)
-        lookup = _SupportLookup(support, r, j)
-        dd_arr = np.array(cols, dtype=np.int64).reshape(len(cols), r)
-        for bi, ee in enumerate(row_es):
-            jj_arr = dd_arr + np.array(ee, dtype=np.int64)
-            ok = np.ones(len(cols), dtype=bool)
-            for k, bk in enumerate(bounds):
-                ok &= jj_arr[:, k] <= bk
-            hot = np.nonzero(ok)[0]
-            if hot.size == 0:
-                continue
-            n_vals = np.ones(hot.size, dtype=np.int64)
-            for k in range(r):
-                n_vals = n_vals * fact[jj_arr[hot, k]] % p
-                n_vals = n_vals * invfact[dd_arr[hot, k]] % p
-            pos = lookup.positions(jj_arr[hot])
-            for i in range(s):
-                mat[bi * s + i, hot] = n_vals * generators[i, pos] % p
+        mat = t.assemble((generators,))
     structure = standard_structure(bounds, r, j, d, s) if cropped else None
-    return DerivativeMatrix(mat, row_index, tuple(cols), structure)
-
-
-def _stacked_dense(w, d):
-    """Dense stacked cropped matrix for a multi-block subspace at degree d."""
-    r, j, p = w.r, w.j, w.p
-    e = j - d
-    fact, invfact = _fact_tables(p, j)
-    block_cols = [enumerate_constrained(r, d, b.bounds) for b in w.blocks]
-    union = sorted(set().union(*block_cols), reverse=True) if block_cols else []
-    col_of = {m: i for i, m in enumerate(union)}
-    rows = []
-    for b, cols in zip(w.blocks, block_cols):
-        if not cols:
-            continue
-        lookup = _SupportLookup(b.support, r, j)
-        gcol = np.array([col_of[m] for m in cols])
-        dd_arr = np.array(cols, dtype=np.int64).reshape(len(cols), r)
-        for ee in enumerate_constrained(r, e, b.bounds):
-            jj_arr = dd_arr + np.array(ee, dtype=np.int64)
-            ok = np.ones(len(cols), dtype=bool)
-            for k, bk in enumerate(b.bounds):
-                ok &= jj_arr[:, k] <= bk
-            hot = np.nonzero(ok)[0]
-            if hot.size == 0:
-                continue
-            n_vals = np.ones(hot.size, dtype=np.int64)
-            for k in range(r):
-                n_vals = n_vals * fact[jj_arr[hot, k]] % p
-                n_vals = n_vals * invfact[dd_arr[hot, k]] % p
-            pos = lookup.positions(jj_arr[hot])
-            for i in range(b.n_generators):
-                row = np.zeros(len(union), dtype=np.int64)
-                row[gcol[hot]] = n_vals * b.coeffs[i, pos] % p
-                rows.append(row)
-    if not rows:
-        return np.zeros((0, len(union)), dtype=np.int64)
-    return np.stack(rows)
+    return DerivativeMatrix(mat, row_index, t.cols, structure)
 
 
 def hilbert_value(w, d):
     """h(d) = dim R_{j-d} * W, the rank of the cropped derivative matrix."""
     if d < 0 or d > w.j:
         return 0
-    return exactalg.rank(_stacked_dense(w, d), w.p)
+    t = derivative_template(w.r, w.j, tuple(b.bounds for b in w.blocks), d, w.p)
+    return exactalg.rank(t.assemble([b.coeffs for b in w.blocks]), w.p)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import __version__, exactalg, families, gqposet, lmatrix, selfcheck
 from .apolarity import HomogeneousSubspace, hilbert_vector, hilbert_value
@@ -99,6 +100,7 @@ def emit_report(report, fmt="json"):
     raise UsageError("unknown format %r" % (fmt,))
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
@@ -138,7 +140,7 @@ def _cmd_hilbert(args, p):
     obj = _load_json(args.subspace)
     try:
         w = HomogeneousSubspace.from_json(obj, p)
-    except (KeyError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise UsageError("bad subspace: %s" % e)
     rng = _parse_range(args.drange) if args.drange else None
     hv = hilbert_vector(w, rng)
@@ -262,8 +264,7 @@ def main(argv=None):
         return 1
     try:
         p = args.prime if args.prime is not None else _default_prime()
-        if not exactalg.is_prime(p):
-            raise UsageError("%d is not prime" % p)
+        exactalg.check_prime(p)
         if args.retries < 0:
             raise UsageError("retries must be nonnegative")
         handler = {"hilbert": _cmd_hilbert, "family": _cmd_family,

@@ -3,29 +3,58 @@
 Everything downstream (Hilbert values, drop verification, the randomized
 determinant oracle) reduces to ranks of dense matrices over a prime field.
 Matrices are numpy int64 arrays with entries reduced mod p; all intermediate
-products stay below p^2 < 2^63.
+products stay below p^2 < 2^63, which `check_prime` enforces.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
 
 DEFAULT_PRIME = 32749
+MAX_PRIME = 3037000493  # the largest prime p with p * p < 2^63
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n):
+    """Deterministic Miller-Rabin; the bases 2..37 make it exact below 3.18e23."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def check_prime(p):
+    """Return p as an int if the int64 kernels are exact mod p, else raise ValueError.
+
+    Products of two residues must stay below 2^63, so p may be at most
+    MAX_PRIME.
+    """
+    p = operator.index(p)
+    if p > MAX_PRIME:
+        raise ValueError("prime %d too large: the int64 kernels need p <= %d"
+                         % (p, MAX_PRIME))
+    if not is_prime(p):
+        raise ValueError("%d is not prime" % p)
+    return p
 
 
 def stream(seed, label):
@@ -47,12 +76,20 @@ def sample(shape, seed, stream_label, p=DEFAULT_PRIME):
 
 
 def rank(mat, p=DEFAULT_PRIME):
-    """Row rank over GF(p) by in-place Gaussian elimination on a copy."""
-    a = np.array(mat, dtype=np.int64) % p
-    if a.ndim != 2 or a.size == 0:
-        if a.ndim != 2:
-            raise ValueError("rank needs a 2-d matrix")
+    """Rank over GF(p) by in-place Gaussian elimination on a copy.
+
+    A tall matrix is eliminated as its transpose (rank(A) = rank(A^T)), so
+    the pivot loop runs over the shorter side.
+    """
+    p = check_prime(p)
+    a = np.asarray(mat, dtype=np.int64)
+    if a.ndim != 2:
+        raise ValueError("rank needs a 2-d matrix")
+    if a.size == 0:
         return 0
+    if a.shape[0] > a.shape[1]:
+        a = a.T
+    a = np.mod(a, p, order="C")
     m, n = a.shape
     r = 0
     for c in range(n):
@@ -76,6 +113,7 @@ def rank(mat, p=DEFAULT_PRIME):
 
 def det(mat, p=DEFAULT_PRIME):
     """Determinant over GF(p)."""
+    p = check_prime(p)
     a = np.array(mat, dtype=np.int64) % p
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("det needs a square matrix")

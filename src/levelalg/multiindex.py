@@ -10,7 +10,9 @@ of silently falling back.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 
@@ -111,20 +113,26 @@ def enumerate_constrained(r, d, bounds=()):
 
     Coordinates beyond len(bounds) are unconstrained.  The list is in strictly
     descending lexicographic order (the order used for matrix row and column
-    indexing throughout).
+    indexing throughout).  Results are cached; each call gets a fresh list.
     """
-    bounds = tuple(bounds)
+    # plain-int keys, so numpy integers share entries and never leak into results
+    idx = operator.index
+    return list(_enumerate_cached(idx(r), idx(d), tuple(map(idx, bounds))))
+
+
+@lru_cache(maxsize=256)
+def _enumerate_cached(r, d, bounds):
     if len(bounds) > r:
         raise ValueError("more bounds than coordinates")
     if d < 0 or r == 0:
-        return [()] if (r == 0 and d == 0) else []
+        return ((),) if (r == 0 and d == 0) else ()
     caps = [bounds[i] if i < len(bounds) else d for i in range(r)]
     # Suffix capacity: the largest degree positions i..r-1 can absorb.
     tail_cap = [0] * (r + 1)
     for i in range(r - 1, -1, -1):
         tail_cap[i] = tail_cap[i + 1] + caps[i]
     if d > tail_cap[0]:
-        return []
+        return ()
 
     def fill(cur, start, rem):
         # Greedily maximize entries from position `start` on.
@@ -147,7 +155,7 @@ def enumerate_constrained(r, d, bounds=()):
                 break
             k -= 1
         if k < 0:
-            return out
+            return tuple(out)
         cur[k] -= 1
         fill(cur, k + 1, suffix - cur[k])
         out.append(tuple(cur))

@@ -8,13 +8,75 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelalg import apolarity, exactalg, lmatrix
-from levelalg.apolarity import (HomogeneousSubspace, apply_derivative,
-                                build_matrix, derivative_coefficient,
+from levelalg.apolarity import (GeneratorBlock, HomogeneousSubspace,
+                                apply_derivative, build_matrix,
+                                derivative_coefficient, derivative_template,
                                 hilbert_value, hilbert_vector,
                                 max_rank_predicate, standard_structure,
                                 sum_space_dimension)
+from levelalg.multiindex import enumerate_constrained
 
 P = exactalg.DEFAULT_PRIME
+
+
+def random_blocks(seed, p=P):
+    """A random multi-block subspace with r <= 4, j <= 7, bounded or not."""
+    rng = exactalg.stream(seed, "template-oracle")
+    r, j = int(rng.integers(1, 5)), int(rng.integers(0, 8))
+    blocks = []
+    for _ in range(int(rng.integers(1, 4))):
+        nb = int(rng.integers(0, r + 1))
+        bounds = tuple(int(x) for x in rng.integers(0, j + 1, size=nb))
+        m = len(enumerate_constrained(r, j, bounds))
+        coeffs = rng.integers(0, p, size=(int(rng.integers(1, 4)), m))
+        coeffs[rng.random(coeffs.shape) < 0.2] = 0
+        blocks.append(GeneratorBlock(r, j, bounds, coeffs))
+    return HomogeneousSubspace(r, j, tuple(blocks), p)
+
+
+def oracle_matrix(w, d):
+    """The stacked cropped matrix of w at degree d, from apply_derivative.
+
+    Rows run over blocks, then E of degree j-d inside the block's box, then
+    generators; columns over the union of the blocks' degree-d boxes.
+    """
+    cols = sorted({m for b in w.blocks for m in enumerate_constrained(w.r, d, b.bounds)},
+                  reverse=True)
+    rows = []
+    for b in w.blocks:
+        for ee in enumerate_constrained(w.r, w.j - d, b.bounds):
+            for z in b.coeffs:
+                g = apply_derivative(ee, {m: int(c) for m, c in zip(b.support, z)}, w.p)
+                rows.append([g.get(m, 0) for m in cols])
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(cols))
+
+
+def assembled(w, d):
+    t = derivative_template(w.r, w.j, tuple(b.bounds for b in w.blocks), d, w.p)
+    return t.assemble([b.coeffs for b in w.blocks])
+
+
+def reference_build(generators, bounds, r, j, d, cropped, p=P):
+    """build_matrix entry by entry: symbolic grid, dense matrix, indexes."""
+    support = enumerate_constrained(r, j, bounds)
+    index = {m: i for i, m in enumerate(support)}
+    box = bounds if cropped else ()
+    cols = enumerate_constrained(r, d, box)
+    row_index = tuple((ee, i) for ee in enumerate_constrained(r, j - d, box)
+                      for i in range(len(generators)))
+    grid, dense = [], np.zeros((len(row_index), len(cols)), dtype=np.int64)
+    for a, (ee, i) in enumerate(row_index):
+        row = []
+        for c, dd in enumerate(cols):
+            jj = tuple(x + y for x, y in zip(ee, dd))
+            if jj in index:
+                n = derivative_coefficient(jj, ee)
+                row.append((n, (i, jj)))
+                dense[a, c] = n * int(generators[i][index[jj]]) % p
+            else:
+                row.append(None)
+        grid.append(tuple(row))
+    return lmatrix.SymbolicMatrix(tuple(grid)), dense, row_index, tuple(cols)
 
 
 class TestDerivativeAction:
@@ -160,3 +222,89 @@ class TestSumAndPredicate:
         assert rep.guaranteed_full_rank
         rep = max_rank_predicate((), 2, 7, 5, s=1)
         assert not rep.guaranteed_full_rank
+
+
+class TestDerivativeTemplate:
+    @given(seed=st.integers(0, 10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sparse_oracle(self, seed):
+        w = random_blocks(seed)
+        for d in range(w.j + 1):
+            want = oracle_matrix(w, d)
+            assert np.array_equal(assembled(w, d), want)
+            assert hilbert_value(w, d) == exactalg.rank(want, w.p)
+
+    def test_prime_is_part_of_the_key(self):
+        coeffs = exactalg.sample((2, len(enumerate_constrained(3, 4, (3,)))), 4,
+                                 "two-primes", p=11)
+        for p in (11, P, 11):
+            w = HomogeneousSubspace.from_dense(3, 4, (3,), coeffs, p)
+            for d in range(5):
+                assert np.array_equal(assembled(w, d), oracle_matrix(w, d))
+
+    def test_refuses_codes_beyond_int64(self):
+        # 4^40 > 2^63: mixed-radix codes would wrap and collide
+        w = HomogeneousSubspace.from_sparse(
+            40, 3, [{(1, 1, 1) + (0,) * 37: 1}, {(0,) * 39 + (3,): 1}], bounds=())
+        with pytest.raises(ValueError, match="overflow"):
+            hilbert_value(w, 1)
+
+    def test_cached_arrays_are_read_only(self):
+        w = random_blocks(7)
+        t = derivative_template(w.r, w.j, tuple(b.bounds for b in w.blocks), 1, w.p)
+        arrays = [v for part in t.blocks for v in vars(part).values()
+                  if isinstance(v, np.ndarray)]
+        assert arrays
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+    @pytest.mark.parametrize("r,j,bounds,s", [(3, 6, (3, 3), 2), (2, 5, (), 1),
+                                              (4, 5, (2, 1, 2), 3), (3, 4, (4, 0, 4), 1)])
+    def test_build_matrix_matches_reference(self, r, j, bounds, s):
+        m = len(enumerate_constrained(r, j, bounds))
+        coeffs = exactalg.sample((s, m), r + j, "build-reference")
+        for d in range(j + 1):
+            for cropped in (True, False):
+                sym, dense, rows, cols = reference_build(coeffs, bounds, r, j, d, cropped)
+                num = build_matrix(coeffs, bounds, r, j, d, cropped=cropped)
+                assert np.array_equal(num.matrix, dense)
+                assert (num.row_index, num.col_index) == (rows, cols)
+                if not cropped:
+                    assert num.structure is None
+                    continue
+                want = standard_structure(bounds, r, j, d, s)
+                got = build_matrix(coeffs, bounds, r, j, d, symbolic=True)
+                assert got.matrix == sym
+                assert (got.row_index, got.col_index) == (rows, cols)
+                for st_ in (num.structure, got.structure):
+                    assert (st_.poset.q, st_.r, st_.c) == (want.poset.q, want.r, want.c)
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("obj", [
+        {"r": 2, "j": 3, "generators": [[{"monomial": [3, 0], "coeff": 1.5}]]},
+        {"r": 2, "j": 3, "generators": [[{"monomial": [3, 0], "coeff": True}]]},
+        {"r": 2, "j": 3, "generators": [[{"monomial": [3, 0], "coeff": "1"}]]},
+        {"r": 2.0, "j": 3, "generators": [[{"monomial": [3, 0], "coeff": 1}]]},
+        {"r": 2, "j": -3, "generators": [[{"monomial": [3, 0], "coeff": 1}]]},
+        {"r": 2, "j": 3, "generators": [[{"monomial": [3, 0, 0], "coeff": 1}]]},
+        {"r": 3, "j": 3, "generators": [[{"monomial": [3, 0], "coeff": 1}]]},
+        {"r": 2, "j": 3, "generators": [[{"monomial": [3.0, 0], "coeff": 1}]]},
+        {"r": 2, "j": 3, "constraint": {"bounds": [True]},
+         "generators": [[{"monomial": [1, 2], "coeff": 1}]]},
+        [1, 2],
+    ])
+    def test_rejects(self, obj):
+        with pytest.raises(ValueError):
+            HomogeneousSubspace.from_json(obj)
+
+    def test_negative_and_large_coefficients_reduce_mod_p(self):
+        w = HomogeneousSubspace.from_json(
+            {"r": 2, "j": 3, "generators": [[{"monomial": [3, 0], "coeff": -1},
+                                             {"monomial": [1, 2], "coeff": 10 ** 30}]]})
+        assert w.blocks[0].coeffs.tolist() == [[P - 1, 0, 10 ** 30 % P]]
+
+    def test_refuses_prime_beyond_int64_kernel(self):
+        with pytest.raises(ValueError):
+            HomogeneousSubspace.from_sparse(2, 3, [{(3, 0): 1}], p=4294967311)

@@ -140,6 +140,28 @@ class TestPlumbing:
         code, _, err = run(capsys, "family", "validate", G3, "--prime", "10")
         assert code == 1 and "not prime" in err
 
+    @pytest.mark.parametrize("prime", ["4294967311", "9223372036854775783"])
+    def test_prime_too_large(self, capsys, prime):
+        code, _, err = run(capsys, "catalog", "--codim", "3", "--type", "5",
+                           "--prime", prime)
+        assert code == 1 and "too large" in err
+
+    def test_no_state_between_calls(self, capsys):
+        first = json.loads(run(capsys, "catalog", "--codim", "3", "--type", "5",
+                               "--seed", "5", "--prime", "101", "--format", "json")[1])
+        assert (first["seed"], first["p"]) == (5, 101)
+        code, out, _ = run(capsys, "catalog", "--codim", "3", "--type", "5")
+        assert code == 0 and (json.loads(out)["seed"], json.loads(out)["p"]) == (0, 32749)
+        assert run(capsys, "catalog", "--codim", "3", "--type", "5",
+                   "--format", "pretty")[1].startswith("codim: 3")
+        assert json.loads(run(capsys, "catalog", "--codim", "3", "--type", "5")[1])
+
+    @pytest.mark.parametrize("coeff", ["1.5", "true"])
+    def test_non_integer_coefficient_exits_1(self, capsys, coeff):
+        code, out, err = run(capsys, "hilbert", '{"r":2,"j":3,"generators":[[{"monomial":[3,0],'
+                             '"coeff":%s},{"monomial":[1,2],"coeff":1}]]}' % coeff)
+        assert code == 1 and out == "" and "coeff" in err
+
     def test_env_prime_override(self, capsys, monkeypatch):
         monkeypatch.setenv("APOLARITY_PRIME", "32749")
         code, out, _ = run(capsys, "family", "type", G3)

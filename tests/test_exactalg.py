@@ -47,6 +47,10 @@ def permanent_style_det(mat, p):
     return total % p
 
 
+def trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+
 class TestPrimality:
     def test_is_prime(self):
         assert exactalg.is_prime(2)
@@ -54,6 +58,26 @@ class TestPrimality:
         assert not exactalg.is_prime(1)
         assert not exactalg.is_prime(32749 * 3)
         assert exactalg.is_prime(exactalg.DEFAULT_PRIME)
+
+    def test_matches_trial_division(self):
+        assert [n for n in range(10 ** 5) if exactalg.is_prime(n)] == \
+            [n for n in range(10 ** 5) if trial_division(n)]
+
+    def test_large_values(self):
+        # 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to bases 2, 3, 5, 7
+        assert not exactalg.is_prime(3215031751)
+        assert not exactalg.is_prime(561) and not exactalg.is_prime(3037000499)
+        assert exactalg.is_prime(2 ** 61 - 1)
+        assert exactalg.is_prime(9223372036854775783)  # the largest prime below 2^63
+
+    def test_check_prime_bound(self):
+        assert exactalg.check_prime(exactalg.MAX_PRIME) == 3037000493
+        assert exactalg.MAX_PRIME ** 2 < 2 ** 63 <= 3037000507 ** 2  # the next prime
+        for p in (3037000507, 4294967311, 9223372036854775783):
+            with pytest.raises(ValueError, match="too large"):
+                exactalg.check_prime(p)
+        with pytest.raises(ValueError, match="not prime"):
+            exactalg.check_prime(32749 * 3)
 
 
 class TestStreams:
@@ -93,6 +117,30 @@ class TestRank:
         # entries < 20 on a 6x6 grid cannot collapse mod 32749
         m = exactalg.sample((rows, cols), seed, "rank-test", p=20)
         assert exactalg.rank(m) == rational_rank(m)
+
+
+    @given(rows=st.integers(1, 12), cols=st.integers(1, 12), k=st.integers(0, 12),
+           seed=st.integers(0, 10 ** 6),
+           p=st.sampled_from([2, 3, 97, exactalg.DEFAULT_PRIME, exactalg.MAX_PRIME]))
+    @settings(max_examples=150, deadline=None)
+    def test_transpose_invariant(self, rows, cols, k, seed, p):
+        # B (rows x k) times C (k x cols) has rank at most k
+        b = exactalg.sample((rows, k), seed, "rank-b", p).astype(object)
+        c = exactalg.sample((k, cols), seed, "rank-c", p).astype(object)
+        for m in (exactalg.sample((rows, cols), seed, "rank-full", p),
+                  (b.dot(c) % p).astype(np.int64).reshape(rows, cols)):
+            got = exactalg.rank(m, p)
+            assert got == exactalg.rank(m.T, p) <= min(rows, cols)
+        assert got <= k
+
+    def test_large_prime_exact_or_refused(self):
+        m = exactalg.sample((6, 6), 1, "big-prime", exactalg.MAX_PRIME)
+        m[5] = (m[0] + m[1]) % exactalg.MAX_PRIME
+        assert exactalg.rank(m, exactalg.MAX_PRIME) == 5
+        assert exactalg.det(m, exactalg.MAX_PRIME) == 0
+        for fn in (exactalg.rank, exactalg.det):
+            with pytest.raises(ValueError):
+                fn(m, 4294967311)
 
 
 class TestDet:

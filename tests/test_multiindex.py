@@ -56,6 +56,14 @@ class TestEnumeration:
         assert enumerate_constrained(1, 4, (3,)) == []
         assert enumerate_constrained(2, 0) == [(0, 0)]
 
+    def test_cached_result_is_a_fresh_list(self):
+        got = enumerate_constrained(3, 2, (1,))
+        want = list(got)
+        got.append((9, 9, 9))
+        got[0] = None
+        assert enumerate_constrained(3, 2, (1,)) == want
+        assert count_constrained(3, 2, (1,), method="enumerate") == len(want)
+
     def test_bounded_example(self):
         got = enumerate_constrained(3, 7, (2, 3))
         assert len(got) == 12
