@@ -12,15 +12,6 @@ import time
 
 from levelalg import families
 
-GOLDEN = [
-    ("F1", dict(a=21, i=42, s=4)),
-    ("F2", dict(a=21, i=36, s=14)),
-    ("G1", dict(a=3, b=4, i=13, s=2)),
-    ("G2", dict(a=4, b=6, i=14, s=2)),
-    ("G3", dict(a=4, b=4, i=8, s=7)),
-    ("H1", dict(a=2, b=2, c=3, i=12, s=2)),
-]
-
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
@@ -28,7 +19,7 @@ def main():
     ap.add_argument("--retries", type=int, default=3)
     args = ap.parse_args()
     ok = True
-    for fam, kw in GOLDEN:
+    for fam, kw, _h, _t in families.GOLDEN:
         params = families.require_valid(fam, **kw)
         t0 = time.time()
         rep = families.verify_drop(params, args.seed, args.retries)

@@ -24,7 +24,7 @@ import numpy as np
 from . import exactalg
 from .gqposet import GQPoset
 from .lmatrix import GQBlockStructure, SymbolicMatrix
-from .multiindex import combine, count_constrained, enumerate_constrained
+from .multiindex import count_constrained, enumerate_constrained
 
 
 def derivative_coefficient(j_idx, e_idx):
@@ -49,7 +49,7 @@ def apply_derivative(e_idx, f, p=None):
         if any(mk < ek for mk, ek in zip(mono, e_idx)):
             continue
         n = derivative_coefficient(mono, e_idx)
-        target = combine(mono, e_idx, "subtract")
+        target = tuple(mk - ek for mk, ek in zip(mono, e_idx))
         val = out.get(target, 0) + n * coeff
         if p is not None:
             val %= p
@@ -158,21 +158,14 @@ class HomogeneousSubspace:
         """
         if not isinstance(obj, dict):
             raise ValueError("a subspace must be a JSON object")
-        r, j = _json_int(obj["r"], "r"), _json_int(obj["j"], "j")
+        r, j = exactalg.json_int(obj["r"], "r"), exactalg.json_int(obj["j"], "j")
         bounds = None
         if obj.get("constraint"):
-            bounds = tuple(_json_int(q, "bound") for q in obj["constraint"]["bounds"])
-        gens = [{tuple(_json_int(x, "exponent") for x in t["monomial"]):
-                 _json_int(t["coeff"], "coeff", signed=True) for t in g}
+            bounds = tuple(exactalg.json_int(q, "bound") for q in obj["constraint"]["bounds"])
+        gens = [{tuple(exactalg.json_int(x, "exponent") for x in t["monomial"]):
+                 exactalg.json_int(t["coeff"], "coeff", signed=True) for t in g}
                 for g in obj["generators"]]
         return cls.from_sparse(r, j, gens, bounds, p)
-
-
-def _json_int(x, what, signed=False):
-    """x if it is an integer (and non-negative unless signed), else ValueError."""
-    if type(x) is not int or (x < 0 and not signed):
-        raise ValueError("%s must be an integer%s, got %r" % (what, "" if signed else " >= 0", x))
-    return x
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import sys
 from functools import lru_cache
 
 from . import __version__, exactalg, families, gqposet, lmatrix, selfcheck
-from .apolarity import HomogeneousSubspace, hilbert_vector, hilbert_value
+from .apolarity import HomogeneousSubspace, hilbert_vector
 from .gqposet import GQPoset, TopsetGuardExceeded, enumerate_topsets
 
 
@@ -65,12 +65,24 @@ def _parse_range(text):
 
 
 def _parse_q(text):
-    if text == "":
-        return ()
     try:
-        return tuple(int(x) for x in text.split(","))
+        q = tuple(int(x) for x in text.split(",")) if text else ()
     except ValueError:
         raise UsageError("bounds must be comma-separated integers, got %r" % (text,))
+    return _bounds(q)
+
+
+def _bounds(q):
+    """The bound tuple Q, refusing non-integer and negative entries."""
+    return tuple(exactalg.json_int(x, "bound") for x in q)
+
+
+def _sizes(obj, key, n):
+    """The list obj[key] of n non-negative block sizes."""
+    sizes = obj[key]
+    if type(sizes) is not list or len(sizes) != n:
+        raise ValueError("%s must list %d sizes, one per element of G_Q" % (key, n))
+    return [exactalg.json_int(x, key) for x in sizes]
 
 
 def emit_report(report, fmt="json"):
@@ -194,12 +206,14 @@ def _cmd_catalog(args, p):
 
 
 def _cmd_poset(args, p):
+    if args.trials < 0:
+        raise UsageError("trials must be nonnegative")
     q = _parse_q(args.q)
     poset = GQPoset(q)
     report = _base_report("poset " + args.action, p, args.seed)
     report["q"] = list(q)
     if args.action == "topsets":
-        tops = enumerate_topsets(poset, "proper_nonempty")
+        tops = enumerate_topsets(poset)
         report["count"] = len(tops)
         report["topsets"] = [t.to_json() for t in tops]
         return report, 0
@@ -223,8 +237,15 @@ def _cmd_poset(args, p):
 
 def _cmd_lmatrix(args, p):
     obj = _load_json(args.matrix)
+    structure = None
     try:
         m = lmatrix.SymbolicMatrix.from_json(obj["entries"])
+        if "q" in obj:
+            poset = GQPoset(_bounds(obj["q"]))
+            rows, cols = sorted(poset.elements, reverse=True), sorted(poset.elements)
+            structure = lmatrix.GQBlockStructure(
+                poset, dict(zip(rows, _sizes(obj, "row_sizes", len(poset)))),
+                dict(zip(cols, _sizes(obj, "col_sizes", len(poset)))))
     except (KeyError, TypeError, ValueError) as e:
         raise UsageError("bad matrix: %s" % e)
     cls = lmatrix.classify(m)
@@ -233,11 +254,7 @@ def _cmd_lmatrix(args, p):
                    "is_l_matrix": cls.is_l_matrix,
                    "moving_left": sorted(cls.moving_left_variables)})
     verdict = cls.is_l_matrix
-    if "q" in obj:
-        poset = GQPoset(tuple(obj["q"]))
-        rs = dict(zip(sorted(poset.elements, reverse=True), obj["row_sizes"]))
-        cs = dict(zip(sorted(poset.elements), obj["col_sizes"]))
-        structure = lmatrix.GQBlockStructure(poset, rs, cs)
+    if structure is not None:
         pattern = lmatrix.verify_gq_pattern(m, structure)
         report["gq_pattern"] = pattern
         verdict = verdict and pattern

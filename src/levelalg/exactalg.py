@@ -3,7 +3,9 @@
 Everything downstream (Hilbert values, drop verification, the randomized
 determinant oracle) reduces to ranks of dense matrices over a prime field.
 Matrices are numpy int64 arrays with entries reduced mod p; all intermediate
-products stay below p^2 < 2^63, which `check_prime` enforces.
+products stay below p^2 < 2^63, which `check_prime` enforces.  `rank` and
+`det` share one elimination kernel.  `json_int` is the integer check that
+every JSON parser applies to its numbers.
 """
 
 from __future__ import annotations
@@ -57,6 +59,13 @@ def check_prime(p):
     return p
 
 
+def json_int(x, what, signed=False):
+    """x if it is a JSON integer (not a float or bool) and, unless signed, >= 0."""
+    if type(x) is not int or (x < 0 and not signed):
+        raise ValueError("%s must be an integer%s, got %r" % (what, "" if signed else " >= 0", x))
+    return x
+
+
 def stream(seed, label):
     """Deterministic PRNG stream for (seed, label).
 
@@ -75,8 +84,37 @@ def sample(shape, seed, stream_label, p=DEFAULT_PRIME):
     return rng.integers(0, p, size=shape, dtype=np.int64)
 
 
+def _eliminate(a, p):
+    """(rank, d) of an int64 matrix reduced mod p, eliminated in place.
+
+    d is the sign of the row swaps times the product of the pivots, so for a
+    square matrix of full rank it is the determinant.
+    """
+    m, n = a.shape
+    r, d = 0, 1
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+            d = p - d
+        d = d * int(a[r, c]) % p
+        inv = pow(int(a[r, c]), -1, p)
+        a[r, c:] = a[r, c:] * inv % p
+        below = a[r + 1:, c]
+        hot = np.nonzero(below)[0]
+        if hot.size:
+            a[r + 1 + hot, c:] = (a[r + 1 + hot, c:] - below[hot, None] * a[r, None, c:]) % p
+        r += 1
+    return r, d
+
+
 def rank(mat, p=DEFAULT_PRIME):
-    """Rank over GF(p) by in-place Gaussian elimination on a copy.
+    """Rank over GF(p) by Gaussian elimination on a copy.
 
     A tall matrix is eliminated as its transpose (rank(A) = rank(A^T)), so
     the pivot loop runs over the shorter side.
@@ -89,26 +127,7 @@ def rank(mat, p=DEFAULT_PRIME):
         return 0
     if a.shape[0] > a.shape[1]:
         a = a.T
-    a = np.mod(a, p, order="C")
-    m, n = a.shape
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r, c:] = a[r, c:] * inv % p
-        below = a[r + 1:, c]
-        hot = np.nonzero(below)[0]
-        if hot.size:
-            a[r + 1 + hot, c:] = (a[r + 1 + hot, c:] - below[hot, None] * a[r, None, c:]) % p
-        r += 1
-    return r
+    return _eliminate(np.mod(a, p, order="C"), p)[0]
 
 
 def det(mat, p=DEFAULT_PRIME):
@@ -117,26 +136,8 @@ def det(mat, p=DEFAULT_PRIME):
     a = np.array(mat, dtype=np.int64) % p
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("det needs a square matrix")
-    n = a.shape[0]
-    if n == 0:
-        return 1 % p
-    d = 1
-    for c in range(n):
-        nz = np.nonzero(a[c:, c])[0]
-        if nz.size == 0:
-            return 0
-        piv = c + int(nz[0])
-        if piv != c:
-            a[[c, piv]] = a[[piv, c]]
-            d = p - d
-        d = d * int(a[c, c]) % p
-        inv = pow(int(a[c, c]), -1, p)
-        a[c, c:] = a[c, c:] * inv % p
-        below = a[c + 1:, c]
-        hot = np.nonzero(below)[0]
-        if hot.size:
-            a[c + 1 + hot, c:] = (a[c + 1 + hot, c:] - below[hot, None] * a[c, None, c:]) % p
-    return d
+    r, d = _eliminate(a, p)
+    return d if r == a.shape[0] else 0
 
 
 def evaluate_symbolic(m, assignment, p=DEFAULT_PRIME):

@@ -15,19 +15,30 @@ modifications, codimension extensions, and the existence catalog mapping
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, isqrt
 
 import numpy as np
 
 from . import exactalg
-from .apolarity import GeneratorBlock, HomogeneousSubspace, hilbert_value, hilbert_vector
-from .multiindex import count_constrained
+from .apolarity import GeneratorBlock, HomogeneousSubspace, hilbert_value
+from .multiindex import count_constrained, enumerate_constrained
 
 FAMILIES = ("F1", "F2", "G1", "G2", "G3", "H1")
 SINGLE_DROP = ("F2", "G2", "G3")
 
 BERNSTEIN_H = (1, 5, 12, 22, 35, 51, 70, 91, 90, 91, 70, 51, 35, 22, 12, 5, 1)
+
+# The six reference instances: (family, parameters, published h on the
+# critical range [i, i_f], type s + u).
+GOLDEN = (
+    ("F1", dict(a=21, i=42, s=4), (946, 945, 945, 946), 5),
+    ("F2", dict(a=21, i=36, s=14), (699, 698, 699), 16),
+    ("G1", dict(a=3, b=4, i=13, s=2), (229, 228, 228, 229), 3),
+    ("G2", dict(a=4, b=6, i=14, s=2), (433, 432, 433), 3),
+    ("G3", dict(a=4, b=4, i=8, s=7), (152, 147, 148), 8),
+    ("H1", dict(a=2, b=2, c=3, i=12, s=2), (223, 222, 222, 223), 3),
+)
 
 
 class FamilyError(ValueError):
@@ -279,8 +290,8 @@ def deltas(params, d):
 def construct(params, seed, p=exactalg.DEFAULT_PRIME):
     """The random subspace E + F for these parameters, deterministic in seed."""
     r, j = params.r, params.j
-    m_p = count_constrained(r, j, params.p_bounds, j, method="enumerate")
-    m_q = count_constrained(r, j, params.q_bounds, j, method="enumerate")
+    m_p = len(enumerate_constrained(r, j, params.p_bounds))
+    m_q = len(enumerate_constrained(r, j, params.q_bounds))
     e_block = GeneratorBlock(r, j, params.p_bounds,
                              exactalg.sample((params.s, m_p), seed, "family-E", p))
     f_block = GeneratorBlock(r, j, params.q_bounds,
@@ -364,7 +375,6 @@ def special_construction(kind, seed=0, p=exactalg.DEFAULT_PRIME,
 
 
 def _bernstein_block(seed, p):
-    from .multiindex import enumerate_constrained
     inner = enumerate_constrained(3, 15)
     f = exactalg.sample((len(inner),), seed, "bernstein-f", p)
     g = exactalg.sample((len(inner),), seed, "bernstein-g", p)
@@ -397,7 +407,6 @@ def extend_codim(base, k_extra, mode="append"):
     if mode == "summed":
         if len(base.blocks) != 1 or base.blocks[0].n_generators != 1:
             raise FamilyError("summed extension needs a single-generator base")
-        from .multiindex import enumerate_constrained
         b = base.blocks[0]
         bounds = _full_bounds(b) + (j,) * k_extra
         support = enumerate_constrained(r2, j, bounds)

@@ -16,12 +16,13 @@ product of chains, e.g. an antichain).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 TOPSET_GUARD = 1 << 20
+MAX_WEIGHT = 10  # largest weight in random_order_preserving
 
 
 class TopsetGuardExceeded(Exception):
@@ -51,9 +52,6 @@ class FinitePoset:
 
     def __len__(self):
         return len(self.elements)
-
-    def __contains__(self, e):
-        return e in self._index
 
     def index(self, e):
         return self._index[e]
@@ -128,74 +126,19 @@ def dominates(i, j):
 @dataclass(frozen=True)
 class ElementSet:
     members: frozenset
-    kind: str = "plain"  # topset | bottomset | plain
 
     def __post_init__(self):
         object.__setattr__(self, "members", frozenset(self.members))
-        if self.kind not in ("topset", "bottomset", "plain"):
-            raise ValueError("unknown kind %r" % (self.kind,))
 
     def to_json(self):
         return sorted(list(m) for m in self.members)
 
 
-def is_closed(poset, eset):
-    """Check upward (topset) or downward (bottomset) closure per the tag."""
-    for e in eset.members:
-        if e not in poset:
-            raise ValueError("member outside the poset")
-    if eset.kind == "plain":
-        return True
-    neighbors = poset.dominators if eset.kind == "topset" else poset.dominated
-    for e in eset.members:
-        for j in neighbors[poset.index(e)]:
-            if poset.elements[j] not in eset.members:
-                return False
-    return True
-
-
-def closure(poset, xs, direction="up"):
-    """Smallest topset (up) or bottomset (down) containing xs."""
-    if direction not in ("up", "down"):
-        raise ValueError("direction must be 'up' or 'down'")
-    neighbors = poset.dominators if direction == "up" else poset.dominated
-    out = set()
-    for e in xs.members if isinstance(xs, ElementSet) else xs:
-        out.add(e)
-        for j in neighbors[poset.index(e)]:
-            out.add(poset.elements[j])
-    return ElementSet(out, "topset" if direction == "up" else "bottomset")
-
-
-def enumerate_topsets(poset, which="all"):
-    """All upward-closed subsets, optionally excluding the empty and full set."""
-    masks = poset._topset_masks()
+def enumerate_topsets(poset):
+    """All upward-closed subsets except the empty and the full set."""
     full = (1 << len(poset)) - 1
-    out = []
-    for mask in masks:
-        if which == "proper_nonempty" and mask in (0, full):
-            continue
-        members = frozenset(poset.elements[i] for i in range(len(poset))
-                            if mask >> i & 1)
-        out.append(ElementSet(members, "topset"))
-    return out
-
-
-def minimal_elements(poset, eset):
-    """Members of the subset that dominate no other member.
-
-    Every member of the subset dominates at least one returned element; in
-    the full G_Q the unique minimal element is Q itself.
-    """
-    members = eset.members if isinstance(eset, ElementSet) else frozenset(eset)
-    if not members:
-        raise ValueError("empty subset has no minimal elements")
-    out = []
-    for e in members:
-        if not any(poset.elements[j] in members
-                   for j in poset.dominated[poset.index(e)]):
-            out.append(e)
-    return sorted(out)
+    return [ElementSet(poset.elements[i] for i in range(len(poset)) if mask >> i & 1)
+            for mask in poset._topset_masks() if mask not in (0, full)]
 
 
 @dataclass(frozen=True)
@@ -266,9 +209,8 @@ def _check(poset, phi, ok):
             size += 1
             m &= m - 1
         if not ok(s, size):
-            members = frozenset(poset.elements[i] for i in range(len(poset))
-                                if mask >> i & 1)
-            return CheckResult(False, ElementSet(members, "topset"))
+            return CheckResult(False, ElementSet(poset.elements[i] for i in range(len(poset))
+                                                 if mask >> i & 1))
     return CheckResult(True, None)
 
 
@@ -284,22 +226,18 @@ def topset_matrix(poset):
     return out
 
 
-def random_order_preserving(poset, rng, nonneg_total=True, max_weight=10):
-    """A random integer-valued order-preserving function on the poset.
+def random_order_preserving(poset, rng):
+    """A random integer-valued order-preserving function with nonnegative total.
 
-    Built as phi(I) = sum of nonnegative weights over elements I dominates
-    (inclusive), minus a constant; the constant is capped so the total stays
-    nonnegative when requested, while typically leaving some negative values.
+    Built as phi(I) = sum of weights in [0, MAX_WEIGHT] over elements I
+    dominates (inclusive), minus a constant capped so the total stays
+    nonnegative, while typically leaving some negative values.
     """
     n = len(poset)
-    w = rng.integers(0, max_weight + 1, size=n)
+    w = rng.integers(0, MAX_WEIGHT + 1, size=n)
     raw = []
     for i in range(n):
         s = int(w[i]) + sum(int(w[j]) for j in poset.dominated[i])
         raw.append(s)
-    total = sum(raw)
-    if nonneg_total:
-        shift = int(rng.integers(0, total // n + 1)) if n else 0
-    else:
-        shift = int(rng.integers(0, max(max(raw), 1) + 1))
+    shift = int(rng.integers(0, sum(raw) // n + 1)) if n else 0
     return OrderPreservingFn({poset.elements[i]: raw[i] - shift for i in range(n)})

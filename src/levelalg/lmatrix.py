@@ -15,12 +15,17 @@ nonempty proper topset of G_Q.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import exactalg
 from .gqposet import GQPoset, enumerate_topsets
 
 EXACT_DET_LIMIT = 7
+# random_gq_structure's Q shapes (|G_Q| <= 8); random_l_matrix's chance of
+# reusing a variable and largest factor
+GQ_SHAPES = ((), (1,), (2,), (3,), (4,), (5,), (6,), (7,), (1, 1), (1, 2), (1, 3), (1, 1, 1))
+REUSE_PROB = 0.3
+MAX_LAMBDA = 3
 
 
 @dataclass(frozen=True)
@@ -59,18 +64,21 @@ class SymbolicMatrix:
                     out.add(cell[1])
         return out
 
-    def submatrix(self, rows, cols):
-        return SymbolicMatrix(tuple(tuple(self.entries[i][j] for j in cols)
-                                    for i in rows))
-
     def to_json(self):
         return [[0 if cell is None else [cell[0], cell[1]] for cell in row]
                 for row in self.entries]
 
     @classmethod
     def from_json(cls, grid):
-        return cls(tuple(tuple(None if cell == 0 else (cell[0], cell[1])
-                               for cell in row) for row in grid))
+        """Parse rows of cells, each 0 or [lam, var] with lam an int >= 1, var a string."""
+        def cell(x):
+            if type(x) is int and x == 0:
+                return None
+            if type(x) is not list or len(x) != 2 or type(x[1]) is not str:
+                raise ValueError("a cell must be 0 or [lam, var] with var a string, got %r"
+                                 % (x,))
+            return exactalg.json_int(x[0], "lam"), x[1]
+        return cls(tuple(tuple(cell(x) for x in row) for row in grid))
 
 
 @dataclass(frozen=True)
@@ -188,7 +196,7 @@ def gq3_criterion(structure, condition="topsets"):
         raise ValueError("criterion requires a square structure")
     poset = structure.poset
     elements = set(poset.elements)
-    tops = [t.members for t in enumerate_topsets(poset, "proper_nonempty")]
+    tops = [t.members for t in enumerate_topsets(poset)]
     if condition == "topsets":
         families, sign = tops, 1
     elif condition == "topsets_no_bottom":
@@ -274,33 +282,22 @@ def det_is_nonzero(m, mode="exact", p=exactalg.DEFAULT_PRIME, trials=3, seed=0):
     raise ValueError("unknown mode %r" % (mode,))
 
 
-def random_gq_structure(rng, max_card=8, max_size=7,
-                        shapes=((), (1,), (2,), (3,), (4,), (5,), (6,), (7,),
-                                (1, 1), (1, 2), (1, 3), (1, 1, 1)),
-                        square=True):
-    """Random block structure over a random small G_Q, square by default."""
+def random_gq_structure(rng):
+    """Random square block structure over a random G_Q, at most EXACT_DET_LIMIT rows."""
     while True:
-        q = shapes[int(rng.integers(0, len(shapes)))]
-        poset = GQPoset(q)
-        if len(poset) > max_card:
-            continue
+        poset = GQPoset(GQ_SHAPES[int(rng.integers(0, len(GQ_SHAPES)))])
         r = {e: int(rng.integers(0, 3)) for e in poset.elements}
         c = {e: int(rng.integers(0, 3)) for e in poset.elements}
         s = GQBlockStructure(poset, r, c)
-        if s.total_rows == 0 or s.total_rows > max_size:
-            continue
-        if square and s.total_rows != s.total_cols:
-            continue
-        if not square and (s.total_cols == 0 or s.total_cols > max_size):
-            continue
-        return s
+        if 0 < s.total_rows <= EXACT_DET_LIMIT and s.is_square:
+            return s
 
 
-def random_l_matrix(structure, rng, reuse_prob=0.3, max_lambda=3):
+def random_l_matrix(structure, rng):
     """A random L-matrix realizing the given G_Q pattern.
 
     Cells are filled row-major; each nonzero cell gets either a fresh
-    variable or (with probability reuse_prob) an existing variable whose
+    variable or (with probability REUSE_PROB) an existing variable whose
     occurrences so far all sit in strictly higher rows and strictly further
     right, which preserves the move-to-left property by construction.
     """
@@ -323,9 +320,9 @@ def random_l_matrix(structure, rng, reuse_prob=0.3, max_lambda=3):
         for j in range(cols):
             if not nonzero[i][j]:
                 continue
-            lam = int(rng.integers(1, max_lambda + 1))
+            lam = int(rng.integers(1, MAX_LAMBDA + 1))
             var = None
-            if state and rng.random() < reuse_prob:
+            if state and rng.random() < REUSE_PROB:
                 eligible = [v for v, (lr, lc) in state.items()
                             if lr < i and lc > j]
                 if eligible:

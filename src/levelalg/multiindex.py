@@ -1,4 +1,4 @@
-"""Multi-index arithmetic, lexicographic order, and constrained enumeration.
+"""Constrained multi-index enumeration and closed-form counts.
 
 A multi-index is a tuple of non-negative integer exponents.  A constraint
 Q = (Q_1, ..., Q_n) with n <= r bounds the first n exponents; M_Q(d) denotes
@@ -11,89 +11,8 @@ of silently falling back.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-
-
-class ClosedFormNotApplicable(Exception):
-    """No closed-form count covers this (constraint shape, degree) pair."""
-
-
-def degree(m):
-    """Degree of a multi-index: the sum of its entries."""
-    return sum(m)
-
-
-def lex_compare(a, b):
-    """Compare two multi-indexes lexicographically.
-
-    Returns -1, 0 or 1.  The larger multi-index is the one with the larger
-    entry at the leftmost coordinate where they differ.
-    """
-    if len(a) != len(b):
-        raise ValueError("dimension mismatch: %d vs %d" % (len(a), len(b)))
-    for x, y in zip(a, b):
-        if x != y:
-            return 1 if x > y else -1
-    return 0
-
-
-def combine(a, b, mode="add"):
-    """Componentwise sum or difference of two multi-indexes."""
-    if len(a) != len(b):
-        raise ValueError("dimension mismatch: %d vs %d" % (len(a), len(b)))
-    if mode == "add":
-        return tuple(x + y for x, y in zip(a, b))
-    if mode == "subtract":
-        out = tuple(x - y for x, y in zip(a, b))
-        if any(x < 0 for x in out):
-            raise ValueError("subtraction gives a negative entry: %r" % (out,))
-        return out
-    raise ValueError("unknown mode %r" % (mode,))
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """Exponent bounds Q = (Q_1, ..., Q_n) inside dimension r, top degree j."""
-
-    bounds: tuple
-    r: int
-    j: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "bounds", tuple(self.bounds))
-        if len(self.bounds) > self.r:
-            raise ValueError("more bounds than coordinates")
-        for q in self.bounds:
-            if not 0 <= q <= self.j:
-                raise ValueError("bound %d outside [0, %d]" % (q, self.j))
-
-    @property
-    def a(self):
-        return tuple(q + 1 for q in self.bounds)
-
-    @property
-    def q(self):
-        return sum(self.bounds)
-
-    @property
-    def s_n(self):
-        return sum(self.a)
-
-    @property
-    def p_n(self):
-        p = 1
-        for x in self.a:
-            p *= x
-        return p
-
-    def to_json(self):
-        return {"bounds": list(self.bounds), "r": self.r, "j": self.j}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(tuple(obj["bounds"]), obj["r"], obj["j"])
 
 
 def effective_bounds(bounds, j=None, d=None):
@@ -264,23 +183,7 @@ def _prefixes(bounds, d):
             yield (head,) + tail
 
 
-def count_constrained(r, d, bounds=(), j=None, method="auto"):
-    """m_Q(d) = #M_Q(d).
-
-    method="enumerate" counts by explicit enumeration, "closed_form" uses the
-    proposition formulas and raises ClosedFormNotApplicable outside their
-    stated ranges, "auto" prefers the closed form and falls back.
-    """
-    if method == "enumerate":
-        return len(enumerate_constrained(r, d, bounds))
+def count_constrained(r, d, bounds=(), j=None):
+    """m_Q(d) = #M_Q(d): the closed form where one applies, else by enumeration."""
     cf = closed_form_count(r, d, bounds, j)
-    if method == "closed_form":
-        if cf is None:
-            raise ClosedFormNotApplicable(
-                "no closed form for r=%d d=%d bounds=%r" % (r, d, tuple(bounds)))
-        return cf
-    if method == "auto":
-        if cf is not None:
-            return cf
-        return len(enumerate_constrained(r, d, bounds))
-    raise ValueError("unknown method %r" % (method,))
+    return cf if cf is not None else len(enumerate_constrained(r, d, bounds))

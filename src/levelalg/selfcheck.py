@@ -13,8 +13,7 @@ from math import comb
 import numpy as np
 
 from . import apolarity, exactalg, gqposet, lmatrix
-from .multiindex import (closed_form_count, count_constrained,
-                         enumerate_constrained)
+from .multiindex import closed_form_count, enumerate_constrained
 
 # Representative Q shapes with |G_Q| <= 64 whose topset counts stay inside
 # the enumeration guard, spanning chain products of dimension 1 through 5.
@@ -88,7 +87,7 @@ def run_count_suite(n_triples=1000, seed=0, max_r=6, max_d=30):
                                  "j": j, "closed": got, "oracle": want})
         if want <= 20000:
             enum_checked += 1
-            if count_constrained(r, d, bounds, method="enumerate") != want:
+            if len(enumerate_constrained(r, d, bounds)) != want:
                 failures.append({"r": r, "d": d, "bounds": list(bounds),
                                  "j": j, "method": "enumerate", "oracle": want})
     return {"passed": not failures, "trials": n_triples,

@@ -12,18 +12,9 @@ minimum-type sweep for the odd-a family.
 import pytest
 
 from levelalg import apolarity, families, selfcheck
-from levelalg.families import (BERNSTEIN_H, f2_threshold, min_sufficient_s,
-                               require_valid, special_construction,
-                               verify_drop)
-
-GOLDEN = [
-    ("F1", dict(a=21, i=42, s=4), (946, 945, 945, 946), 5),
-    ("F2", dict(a=21, i=36, s=14), (699, 698, 699), 16),
-    ("G1", dict(a=3, b=4, i=13, s=2), (229, 228, 228, 229), 3),
-    ("G2", dict(a=4, b=6, i=14, s=2), (433, 432, 433), 3),
-    ("G3", dict(a=4, b=4, i=8, s=7), (152, 147, 148), 8),
-    ("H1", dict(a=2, b=2, c=3, i=12, s=2), (223, 222, 222, 223), 3),
-]
+from levelalg.families import (BERNSTEIN_H, GOLDEN, f2_threshold,
+                               min_sufficient_s, require_valid,
+                               special_construction, verify_drop)
 
 
 class TestCriterion1GoldenFamilies:

@@ -126,6 +126,25 @@ class TestOtherCommands:
         assert code == 2
         assert not json.loads(out)["is_l_matrix"]
 
+    @pytest.mark.parametrize("argv", [
+        ["lmatrix", "check", '{"entries":[[[1,"x"]]],"q":[0]}'],
+        ["lmatrix", "check", '{"entries":[[[1]]]}'],
+        ["lmatrix", "check", '{"entries":[[[1,["x"]]]]}'],
+        ["lmatrix", "check", '{"entries":[[[1,"x"]]],"q":[],"row_sizes":[1,5],"col_sizes":[1]}'],
+        ["lmatrix", "check", '{"entries":[[[1.5,"x"]]]}'],
+        ["lmatrix", "check", '{"entries":[[[true,"x"]]]}'],
+        ["lmatrix", "check", '{"entries":[],"q":[-1],"row_sizes":[],"col_sizes":[]}'],
+        ["poset", "tpp", "--q", "-1"],
+        ["poset", "topsets", "--q", "-1"],
+        ["poset", "tpp", "--q", "1", "--trials", "-3"],
+    ], ids=["no-sizes", "short-cell", "list-variable", "long-sizes", "float-lam",
+            "bool-lam", "lmatrix-negative-q", "tpp-negative-q", "topsets-negative-q",
+            "negative-trials"])
+    def test_hostile_input_exits_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_selftest_quick(self, capsys):
         code, out, _ = run(capsys, "selftest", "--seed", "1")
         assert code == 0

@@ -124,13 +124,20 @@ class TestRank:
            p=st.sampled_from([2, 3, 97, exactalg.DEFAULT_PRIME, exactalg.MAX_PRIME]))
     @settings(max_examples=150, deadline=None)
     def test_transpose_invariant(self, rows, cols, k, seed, p):
-        # B (rows x k) times C (k x cols) has rank at most k
+        # B (rows x k) times C (k x cols) has rank at most k.  The leading
+        # n x n block (the whole draw when square) pins det to the same
+        # elimination: det(A) = det(A^T), and det(A) != 0 iff rank(A) = n.
         b = exactalg.sample((rows, k), seed, "rank-b", p).astype(object)
         c = exactalg.sample((k, cols), seed, "rank-c", p).astype(object)
+        n = min(rows, cols)
         for m in (exactalg.sample((rows, cols), seed, "rank-full", p),
                   (b.dot(c) % p).astype(np.int64).reshape(rows, cols)):
             got = exactalg.rank(m, p)
-            assert got == exactalg.rank(m.T, p) <= min(rows, cols)
+            assert got == exactalg.rank(m.T, p) <= n
+            sq = m[:n, :n]
+            d = exactalg.det(sq, p)
+            assert d == exactalg.det(sq.T, p)
+            assert (d != 0) == (exactalg.rank(sq, p) == n)
         assert got <= k
 
     def test_large_prime_exact_or_refused(self):
@@ -154,6 +161,7 @@ class TestDet:
     def test_singular(self):
         m = np.array([[1, 2], [2, 4]], dtype=np.int64)
         assert exactalg.det(m) == 0
+        assert exactalg.det(np.zeros((0, 0), dtype=np.int64)) == 1
         with pytest.raises(ValueError):
             exactalg.det(np.zeros((2, 3), dtype=np.int64))
 

@@ -33,16 +33,10 @@ class TestThresholds:
 
 class TestValidation:
     def test_golden_instances_valid(self):
-        golden = [("F1", dict(a=21, i=42, s=4)),
-                  ("F2", dict(a=21, i=36, s=14)),
-                  ("G1", dict(a=3, b=4, i=13, s=2)),
-                  ("G2", dict(a=4, b=6, i=14, s=2)),
-                  ("G3", dict(a=4, b=4, i=8, s=7)),
-                  ("H1", dict(a=2, b=2, c=3, i=12, s=2))]
-        for fam, kw in golden:
+        for fam, kw, _h, t in families.GOLDEN:
             res = validate(fam, **kw)
             assert res.valid, (fam, res.violations)
-            assert res.params.t == kw["s"] + (2 if fam == "F2" else 1)
+            assert res.params.t == t == kw["s"] + (2 if fam == "F2" else 1)
 
     def test_derived_shape(self):
         p = require_valid("F1", a=21, i=42, s=4)
@@ -97,10 +91,7 @@ class TestMinimumS:
 
 
 class TestPredictions:
-    @pytest.mark.parametrize("fam,kw", [
-        ("F1", dict(a=21, i=42, s=4)), ("F2", dict(a=21, i=36, s=14)),
-        ("G1", dict(a=3, b=4, i=13, s=2)), ("G2", dict(a=4, b=6, i=14, s=2)),
-        ("G3", dict(a=4, b=4, i=8, s=7)), ("H1", dict(a=2, b=2, c=3, i=12, s=2))])
+    @pytest.mark.parametrize("fam,kw", [g[:2] for g in families.GOLDEN])
     def test_deltas_track_predicted_h(self, fam, kw):
         p = require_valid(fam, **kw)
         for d in range(p.i, p.i_f):

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levelalg import exactalg, gqposet
-from levelalg.gqposet import (ElementSet, FinitePoset, GQPoset,
-                              OrderPreservingFn, TopsetGuardExceeded, closure,
-                              check_tap, check_tpp, dominates,
-                              enumerate_topsets, is_closed, minimal_elements,
+from levelalg import exactalg
+from levelalg.gqposet import (FinitePoset, GQPoset, OrderPreservingFn,
+                              TopsetGuardExceeded, check_tap, check_tpp,
+                              dominates, enumerate_topsets,
                               random_order_preserving, topset_matrix)
 
 
@@ -44,50 +43,26 @@ class TestPosetStructure:
         with pytest.raises(ValueError):
             dominates((1,), (1, 2))
 
-    def test_closure_and_is_closed(self):
-        p = GQPoset((1, 1))
-        up = closure(p, [(1, 1)], "up")
-        assert up.members == frozenset(p.elements)
-        down = closure(p, [(1, 0)], "down")
-        assert down.members == {(1, 0), (1, 1)}
-        assert is_closed(p, up)
-        assert is_closed(p, down)
-        assert not is_closed(p, ElementSet({(1, 0)}, "topset"))
-        assert is_closed(p, ElementSet({(1, 0)}, "plain"))
-
-    def test_minimal_elements(self):
-        p = GQPoset((2, 2))
-        assert minimal_elements(p, ElementSet(p.elements)) == [(2, 2)]
-        # an antichain is its own minimal set
-        assert minimal_elements(p, ElementSet({(0, 2), (2, 0)})) == \
-            [(0, 2), (2, 0)]
-        # every member dominates a returned element
-        sub = ElementSet({(0, 0), (1, 1), (0, 2), (2, 1)})
-        mins = minimal_elements(p, sub)
-        for e in sub.members:
-            assert any(dominates(e, m) for m in mins)
-        with pytest.raises(ValueError):
-            minimal_elements(p, ElementSet(set()))
-
 
 class TestTopsets:
     @pytest.mark.parametrize("q,count", [((3,), 5), ((1, 1), 6), ((2, 2), 20)])
     def test_counts(self, q, count):
-        # chains have n+2 topsets; small grids checked against brute force
+        # chains have n+2 topsets; small grids checked against brute force,
+        # less the empty and the full set
         p = GQPoset(q)
         tops = enumerate_topsets(p)
-        assert len(tops) == count
-        assert len(enumerate_topsets(p, "proper_nonempty")) == count - 2
-        assert {t.members for t in tops} == set(brute_topsets(p))
-        for t in tops:
-            assert is_closed(p, t)
+        assert len(tops) == count - 2
+        assert {t.members for t in tops} == \
+            set(brute_topsets(p)) - {frozenset(), frozenset(p.elements)}
 
     def test_matrix_agrees_with_enumeration(self):
         p = GQPoset((2, 1))
         mat = topset_matrix(p)
         tops = enumerate_topsets(p)
-        assert mat.shape == (len(tops), len(p))
-        for row, t in zip(mat, tops):
+        assert mat.shape == (len(tops) + 2, len(p))
+        # rows follow the sorted masks: the empty set first, the full set last
+        assert not mat[0].any() and mat[-1].all()
+        for row, t in zip(mat[1:-1], tops):
             got = {p.elements[i] for i in range(len(p)) if row[i]}
             assert got == t.members
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from levelalg import exactalg, lmatrix
+from levelalg import exactalg
 from levelalg.gqposet import GQPoset
 from levelalg.lmatrix import (GQBlockStructure, SymbolicMatrix, classify,
                               det_is_nonzero, exact_det_polynomial,
@@ -27,11 +27,11 @@ class TestSymbolicMatrix:
             SymbolicMatrix((((1, "x"),), ((1, "x"), (1, "y"))))
         with pytest.raises(ValueError):
             SymbolicMatrix((((0, "x"),),))
-
-    def test_submatrix(self):
-        m = M([[[1, "a"], [1, "b"]], [[1, "c"], [1, "d"]]])
-        sub = m.submatrix([1], [0])
-        assert sub.entries == (((1, "c"),),)
+        # lam is an int >= 1 (not a float or bool), the variable a string
+        for grid in ([[[1.5, "x"]]], [[[True, "x"]]], [[[0, "x"]]], [[[1, ["x"]]]],
+                     [[[1]]], [[[1, "x", 2]]], [[0.0]], [[False]]):
+            with pytest.raises(ValueError):
+                M(grid)
 
 
 class TestClassify:

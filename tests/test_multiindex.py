@@ -1,16 +1,12 @@
-"""Multi-index arithmetic, enumeration order, and closed-form counts."""
+"""Multi-index enumeration order and closed-form counts."""
 
 from math import comb
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levelalg import multiindex
-from levelalg.multiindex import (ClosedFormNotApplicable, Constraint,
-                                 closed_form_count, combine, count_constrained,
-                                 effective_bounds, enumerate_constrained,
-                                 lex_compare)
+from levelalg.multiindex import (closed_form_count, count_constrained,
+                                 effective_bounds, enumerate_constrained)
 
 
 def brute_count(r, d, bounds=()):
@@ -21,31 +17,6 @@ def brute_count(r, d, bounds=()):
         if all(m[k] <= bounds[k] for k in range(n)):
             out += 1
     return out
-
-
-class TestBasics:
-    def test_lex_compare(self):
-        assert lex_compare((2, 0, 1), (1, 5, 5)) == 1
-        assert lex_compare((1, 5, 5), (2, 0, 1)) == -1
-        assert lex_compare((3, 1), (3, 1)) == 0
-        with pytest.raises(ValueError):
-            lex_compare((1,), (1, 2))
-
-    def test_combine(self):
-        assert combine((1, 2), (3, 4)) == (4, 6)
-        assert combine((3, 4), (1, 2), "subtract") == (2, 2)
-        with pytest.raises(ValueError):
-            combine((1, 2), (3, 1), "subtract")
-
-    def test_constraint_roundtrip(self):
-        c = Constraint((2, 3), 4, 6)
-        assert Constraint.from_json(c.to_json()) == c
-        assert c.a == (3, 4)
-        assert c.q == 5
-        with pytest.raises(ValueError):
-            Constraint((7,), 3, 6)
-        with pytest.raises(ValueError):
-            Constraint((1, 1, 1), 2, 6)
 
 
 class TestEnumeration:
@@ -62,7 +33,7 @@ class TestEnumeration:
         got.append((9, 9, 9))
         got[0] = None
         assert enumerate_constrained(3, 2, (1,)) == want
-        assert count_constrained(3, 2, (1,), method="enumerate") == len(want)
+        assert count_constrained(3, 2, (1,)) == len(want)
 
     def test_bounded_example(self):
         got = enumerate_constrained(3, 7, (2, 3))
@@ -81,7 +52,7 @@ class TestEnumeration:
             assert sum(m) == d and len(m) == r
             assert all(m[k] <= bounds[k] for k in range(len(bounds)))
         for a, b in zip(out, out[1:]):
-            assert lex_compare(a, b) == 1
+            assert a > b  # tuples compare lexicographically
         assert len(out) == brute_count(r, d, bounds)
 
 
@@ -130,11 +101,12 @@ class TestClosedForms:
                     brute_count(r, d, b), (r, b, d)
 
     def test_method_dispatch(self):
-        assert count_constrained(3, 7, (2, 3), method="enumerate") == 12
-        assert count_constrained(3, 7, (2, 3), j=9, method="closed_form") == 12
+        # the closed form where it applies, enumeration where it is None
+        assert closed_form_count(3, 7, (2, 3), j=9) == 12
         assert count_constrained(3, 7, (2, 3), j=9) == 12
-        with pytest.raises(ClosedFormNotApplicable):
-            count_constrained(4, 2, (1, 1, 1), j=9, method="closed_form")
+        assert closed_form_count(4, 2, (1, 1, 1), j=9) is None
+        assert count_constrained(4, 2, (1, 1, 1), j=9) == \
+            len(enumerate_constrained(4, 2, (1, 1, 1))) == brute_count(4, 2, (1, 1, 1))
 
     def test_effective_bounds(self):
         assert effective_bounds((2, 6, 3), 6) == (2, 3)
