@@ -134,7 +134,6 @@ def _build_parser():
     p = sub.add_parser("poset", parents=[common])
     p.add_argument("action", choices=("tpp", "topsets"))
     p.add_argument("--q", required=True)
-    p.add_argument("--phi", choices=("random",), default="random")
     p.add_argument("--trials", type=int, default=50)
     p = sub.add_parser("lmatrix", parents=[common])
     p.add_argument("action", choices=("check",))
@@ -242,10 +241,9 @@ def _cmd_lmatrix(args, p):
         m = lmatrix.SymbolicMatrix.from_json(obj["entries"])
         if "q" in obj:
             poset = GQPoset(_bounds(obj["q"]))
-            rows, cols = sorted(poset.elements, reverse=True), sorted(poset.elements)
             structure = lmatrix.GQBlockStructure(
-                poset, dict(zip(rows, _sizes(obj, "row_sizes", len(poset)))),
-                dict(zip(cols, _sizes(obj, "col_sizes", len(poset)))))
+                poset, dict(zip(poset.elements[::-1], _sizes(obj, "row_sizes", len(poset)))),
+                dict(zip(poset.elements, _sizes(obj, "col_sizes", len(poset)))))
     except (KeyError, TypeError, ValueError) as e:
         raise UsageError("bad matrix: %s" % e)
     cls = lmatrix.classify(m)
@@ -288,13 +286,7 @@ def main(argv=None):
                    "catalog": _cmd_catalog, "poset": _cmd_poset,
                    "lmatrix": _cmd_lmatrix, "selftest": _cmd_selftest}[args.command]
         report, code = handler(args, p)
-    except UsageError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
-    except TopsetGuardExceeded as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
-    except (ValueError, families.FamilyError) as e:
+    except (UsageError, TopsetGuardExceeded, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
     print(emit_report(report, args.format))

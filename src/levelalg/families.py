@@ -348,16 +348,12 @@ def compute_type(params, seed=0, p=exactalg.DEFAULT_PRIME):
     return hilbert_value(construct(params, seed, p), params.j)
 
 
-def special_construction(kind, seed=0, p=exactalg.DEFAULT_PRIME,
-                         base=None, k_extra=1, mode="append"):
+def special_construction(kind, seed=0, p=exactalg.DEFAULT_PRIME):
     """Named constructions beyond the six families.
 
     bernstein_t1 is the single generator x4 f + x5 g with f, g random in the
     degree-15 part of k[x1,x2,x3] (r = 5, j = 16); t2, t3, t4 cumulatively
-    append the monomials x5^16, x4 x5^15, x4^2 x5^14.  extend_codim embeds a
-    base subspace into k extra variables, either appending x_{r+m}^j as new
-    generators (type grows by k) or adding their sum into the single existing
-    generator (type preserved).
+    append the monomials x5^16, x4 x5^15, x4^2 x5^14.
     """
     if kind in ("bernstein_t1", "bernstein_t2", "bernstein_t3", "bernstein_t4"):
         blocks = [_bernstein_block(seed, p)]
@@ -367,10 +363,6 @@ def special_construction(kind, seed=0, p=exactalg.DEFAULT_PRIME,
         for t in tails[:extras]:
             blocks.append(GeneratorBlock(5, 16, t, np.array([[1]])))
         return HomogeneousSubspace(5, 16, tuple(blocks), p)
-    if kind == "extend_codim":
-        if base is None or k_extra < 1:
-            raise FamilyError("extend_codim needs a base subspace and k_extra >= 1")
-        return extend_codim(base, k_extra, mode)
     raise FamilyError("unknown construction %r" % (kind,))
 
 
@@ -394,7 +386,12 @@ def _full_bounds(block):
 
 
 def extend_codim(base, k_extra, mode="append"):
-    """Embed into r + k_extra variables, adjoining pure-power monomials."""
+    """Embed into r + k_extra variables, adjoining pure-power monomials.
+
+    mode "append" adds each x_{r+m}^j as a new generator (type grows by
+    k_extra); "summed" adds their sum into the single existing generator
+    (type preserved).
+    """
     r2 = base.r + k_extra
     j = base.j
     if mode == "append":

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
@@ -26,86 +27,72 @@ MAX_WEIGHT = 10  # largest weight in random_order_preserving
 
 
 class TopsetGuardExceeded(Exception):
-    """Topset enumeration would exceed the size guard."""
+    """G_Q or its topset enumeration would exceed the size guard."""
 
 
 class FinitePoset:
-    """A finite poset given by its elements and a domination predicate."""
+    """A finite poset given by its elements and each element's upper covers.
 
-    def __init__(self, elements, dominates_fn):
+    covers[i] holds the indexes of the elements that cover elements[i] from
+    above, all smaller than i: the element list is a linear extension with
+    dominators first.
+    """
+
+    def __init__(self, elements, covers):
         self.elements = list(elements)
-        self._dominates = dominates_fn
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        n = len(self.elements)
-        # dominators[i] = indexes j != i with elements[j] >= elements[i]
-        self.dominators = [
-            [j for j in range(n) if j != i
-             and dominates_fn(self.elements[j], self.elements[i])]
-            for i in range(n)
-        ]
-        self.dominated = [
-            [j for j in range(n) if j != i
-             and dominates_fn(self.elements[i], self.elements[j])]
-            for i in range(n)
-        ]
+        self.covers = list(covers)
         self._topsets = None
 
     def __len__(self):
         return len(self.elements)
 
-    def index(self, e):
-        return self._index[e]
-
-    def dominates(self, a, b):
-        if a not in self._index or b not in self._index:
-            raise ValueError("element outside the poset")
-        return self._dominates(a, b)
-
     def _topset_masks(self):
-        """All upward-closed subsets as bitmasks, in a deterministic order.
+        """All upward-closed subsets as sorted bitmasks, bit i for elements[i].
 
-        Elements are processed dominators-first; an element may join only
-        when all its dominators are already in.
+        Elements join in list order, each once all its upper covers are in.
+        The guard bounds the cells of topset_matrix, counting at least 64 per
+        mask.  A poset of n elements has at least n + 1 topsets, the prefixes
+        of its element list, so a long one is refused before enumerating.
         """
         if self._topsets is not None:
             return self._topsets
         n = len(self.elements)
-        # Linear extension with dominators first.
-        order = sorted(range(n),
-                       key=lambda i: (-len(self.dominated[i]), self.elements[i]))
-        dom_masks = []
-        for i in order:
-            m = 0
-            for j in self.dominators[i]:
-                m |= 1 << j
-            dom_masks.append(m)
+        limit = 64 * TOPSET_GUARD // max(n, 64)
+        guard = TopsetGuardExceeded("more than %d topsets of %d elements" % (limit, n))
+        if n + 1 > limit:
+            raise guard
+        cover_masks = [sum(1 << j for j in c) for c in self.covers]
         out = []
         stack = [(0, 0)]
         while stack:
             pos, mask = stack.pop()
             if pos == n:
                 out.append(mask)
-                if len(out) > TOPSET_GUARD:
-                    raise TopsetGuardExceeded(
-                        "more than %d topsets" % TOPSET_GUARD)
+                if len(out) > limit:
+                    raise guard
                 continue
-            i = order[pos]
             stack.append((pos + 1, mask))
-            if mask & dom_masks[pos] == dom_masks[pos]:
-                stack.append((pos + 1, mask | (1 << i)))
+            if mask & cover_masks[pos] == cover_masks[pos]:
+                stack.append((pos + 1, mask | (1 << pos)))
         out.sort()
         self._topsets = out
         return out
 
 
 class GQPoset(FinitePoset):
-    """G_Q for a bound tuple Q."""
+    """G_Q for a bound tuple Q, its elements in ascending lexicographic order."""
 
     def __init__(self, q):
         self.q = tuple(q)
-        elements = [tuple(t) for t in
-                    itertools.product(*(range(b + 1) for b in self.q))]
-        super().__init__(elements, dominates)
+        size = prod(b + 1 for b in self.q)
+        if size > TOPSET_GUARD:
+            raise TopsetGuardExceeded("G_Q has %d elements, more than %d"
+                                      % (size, TOPSET_GUARD))
+        elements = list(itertools.product(*(range(b + 1) for b in self.q)))
+        # I - e_k, the upper cover of I along coordinate k, sits one stride earlier
+        strides = [prod(b + 1 for b in self.q[k + 1:]) for k in range(len(self.q))]
+        super().__init__(elements, [[i - s for s, x in zip(strides, e) if x]
+                                    for i, e in enumerate(elements)])
 
     @property
     def top(self):
@@ -136,9 +123,11 @@ class ElementSet:
 
 def enumerate_topsets(poset):
     """All upward-closed subsets except the empty and the full set."""
-    full = (1 << len(poset)) - 1
-    return [ElementSet(poset.elements[i] for i in range(len(poset)) if mask >> i & 1)
-            for mask in poset._topset_masks() if mask not in (0, full)]
+    return [_members(poset, row) for row in topset_matrix(poset)[1:-1]]
+
+
+def _members(poset, row):
+    return ElementSet(itertools.compress(poset.elements, row.tolist()))
 
 
 @dataclass(frozen=True)
@@ -152,8 +141,9 @@ class OrderPreservingFn:
                            {k: Fraction(v) for k, v in self.values.items()})
 
     def validated(self, poset):
-        for i, e in enumerate(poset.elements):
-            for j in poset.dominators[i]:
+        """Check monotonicity on the upper covers, enough by transitivity."""
+        for e, covers in zip(poset.elements, poset.covers):
+            for j in covers:
                 if self.values[poset.elements[j]] < self.values[e]:
                     raise ValueError(
                         "not order-preserving at %r >= %r"
@@ -198,46 +188,37 @@ def check_tap(poset, phi):
 
 
 def _check(poset, phi, ok):
-    vals = [phi.values[e] for e in poset.elements]
-    for mask in poset._topset_masks():
-        size = 0
-        s = 0
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            s += vals[i]
-            size += 1
-            m &= m - 1
-        if not ok(s, size):
-            return CheckResult(False, ElementSet(poset.elements[i] for i in range(len(poset))
-                                                 if mask >> i & 1))
+    for row in topset_matrix(poset):
+        t = _members(poset, row)
+        if not ok(sum(phi.values[e] for e in t.members), len(t.members)):
+            return CheckResult(False, t)
     return CheckResult(True, None)
 
 
 def topset_matrix(poset):
-    """Boolean topset/element incidence matrix for bulk TPP checking."""
+    """Boolean topset/element incidence matrix, one row per topset.
+
+    Rows follow the sorted bitmasks, so the empty set comes first and the
+    full set last.
+    """
     masks = poset._topset_masks()
-    n = len(poset)
-    out = np.zeros((len(masks), n), dtype=np.int64)
-    for t, mask in enumerate(masks):
-        for i in range(n):
-            if mask >> i & 1:
-                out[t, i] = 1
-    return out
+    width = (len(poset) + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks),
+                           dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(packed, axis=1, count=len(poset), bitorder="little").view(bool)
 
 
 def random_order_preserving(poset, rng):
-    """A random integer-valued order-preserving function with nonnegative total.
+    """A random integer-valued order-preserving function on G_Q with nonnegative total.
 
     Built as phi(I) = sum of weights in [0, MAX_WEIGHT] over elements I
     dominates (inclusive), minus a constant capped so the total stays
     nonnegative, while typically leaving some negative values.
     """
     n = len(poset)
-    w = rng.integers(0, MAX_WEIGHT + 1, size=n)
-    raw = []
-    for i in range(n):
-        s = int(w[i]) + sum(int(w[j]) for j in poset.dominated[i])
-        raw.append(s)
-    shift = int(rng.integers(0, sum(raw) // n + 1)) if n else 0
-    return OrderPreservingFn({poset.elements[i]: raw[i] - shift for i in range(n)})
+    w = rng.integers(0, MAX_WEIGHT + 1, size=n).reshape([b + 1 for b in poset.q])
+    for axis in range(w.ndim):  # suffix sums over J >= I in every coordinate
+        w = np.flip(np.flip(w, axis).cumsum(axis), axis)
+    raw = w.ravel().tolist()
+    shift = int(rng.integers(0, sum(raw) // n + 1))
+    return OrderPreservingFn({e: x - shift for e, x in zip(poset.elements, raw)})

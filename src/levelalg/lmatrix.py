@@ -17,10 +17,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import exactalg
-from .gqposet import GQPoset, enumerate_topsets
+from .gqposet import GQPoset, dominates, enumerate_topsets
 
 EXACT_DET_LIMIT = 7
+DET_TRIALS = 3  # evaluation points of the randomized determinant test
 # random_gq_structure's Q shapes (|G_Q| <= 8); random_l_matrix's chance of
 # reusing a variable and largest factor
 GQ_SHAPES = ((), (1,), (2,), (3,), (4,), (5,), (6,), (7,), (1, 1), (1, 2), (1, 3), (1, 1, 1))
@@ -122,16 +125,6 @@ class GQBlockStructure:
             if self.r.get(e, 0) < 0 or self.c.get(e, 0) < 0:
                 raise ValueError("negative block size")
 
-    @property
-    def row_order(self):
-        """Block-row indexes in descending lexicographic order."""
-        return sorted(self.poset.elements, reverse=True)
-
-    @property
-    def col_order(self):
-        """Block-column indexes in ascending (reverse of row) order."""
-        return sorted(self.poset.elements)
-
     def excess(self, i):
         return self.r.get(i, 0) - self.c.get(i, 0)
 
@@ -147,21 +140,19 @@ class GQBlockStructure:
     def is_square(self):
         return self.total_rows == self.total_cols
 
-    def row_spans(self):
-        spans = {}
-        at = 0
-        for e in self.row_order:
-            spans[e] = (at, at + self.r.get(e, 0))
-            at = spans[e][1]
-        return spans
+    def pattern(self):
+        """Cell-level nonzero mask: block (I, J) is all-nonzero iff I dominates J.
 
-    def col_spans(self):
-        spans = {}
-        at = 0
-        for e in self.col_order:
-            spans[e] = (at, at + self.c.get(e, 0))
-            at = spans[e][1]
-        return spans
+        Block rows run in descending lexicographic order, block columns in
+        ascending order; only blocks of nonzero size are compared, so the
+        work stays within the size of the matrix itself.
+        """
+        rows = [e for e in reversed(self.poset.elements) if self.r.get(e, 0)]
+        cols = [e for e in self.poset.elements if self.c.get(e, 0)]
+        blocks = np.array([[dominates(i, j) for j in cols] for i in rows], dtype=bool)
+        return (blocks.reshape(len(rows), len(cols))
+                .repeat([self.r[e] for e in rows], axis=0)
+                .repeat([self.c[e] for e in cols], axis=1))
 
 
 def verify_gq_pattern(m, structure):
@@ -169,18 +160,8 @@ def verify_gq_pattern(m, structure):
     and all-zero otherwise?"""
     if m.nrows != structure.total_rows or m.ncols != structure.total_cols:
         raise ValueError("matrix shape does not match block sizes")
-    rspans = structure.row_spans()
-    cspans = structure.col_spans()
-    for bi in structure.poset.elements:
-        r0, r1 = rspans[bi]
-        for bj in structure.poset.elements:
-            c0, c1 = cspans[bj]
-            want_nonzero = structure.poset.dominates(bi, bj)
-            for i in range(r0, r1):
-                for j in range(c0, c1):
-                    if (m.entries[i][j] is not None) != want_nonzero:
-                        return False
-    return True
+    return structure.pattern().tolist() == [[cell is not None for cell in row]
+                                            for row in m.entries]
 
 
 def gq3_criterion(structure, condition="topsets"):
@@ -258,12 +239,12 @@ def exact_det_polynomial(m):
     return poly
 
 
-def det_is_nonzero(m, mode="exact", p=exactalg.DEFAULT_PRIME, trials=3, seed=0):
+def det_is_nonzero(m, mode="exact", p=exactalg.DEFAULT_PRIME, seed=0):
     """Decide (exact) or probabilistically test (randomized) det != 0.
 
-    Randomized mode evaluates at uniform points of GF(p); a nonzero
+    Randomized mode evaluates at DET_TRIALS uniform points of GF(p); a nonzero
     evaluation certifies a nonzero determinant, while `False` is wrong with
-    probability at most (size/p)^trials.
+    probability at most (size/p)^DET_TRIALS.
     """
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")
@@ -271,7 +252,7 @@ def det_is_nonzero(m, mode="exact", p=exactalg.DEFAULT_PRIME, trials=3, seed=0):
         return bool(exact_det_polynomial(m))
     if mode == "randomized":
         variables = sorted(m.variables)
-        for t in range(trials):
+        for t in range(DET_TRIALS):
             rng = exactalg.stream(seed, "det-trial-%d" % t)
             vals = rng.integers(0, p, size=len(variables))
             assignment = {v: int(x) for v, x in zip(variables, vals)}
@@ -301,35 +282,20 @@ def random_l_matrix(structure, rng):
     occurrences so far all sit in strictly higher rows and strictly further
     right, which preserves the move-to-left property by construction.
     """
-    rows, cols = structure.total_rows, structure.total_cols
-    rspans = structure.row_spans()
-    cspans = structure.col_spans()
-    nonzero = [[False] * cols for _ in range(rows)]
-    for bi in structure.poset.elements:
-        for bj in structure.poset.elements:
-            if structure.poset.dominates(bi, bj):
-                r0, r1 = rspans[bi]
-                c0, c1 = cspans[bj]
-                for i in range(r0, r1):
-                    for j in range(c0, c1):
-                        nonzero[i][j] = True
-    grid = [[None] * cols for _ in range(rows)]
+    grid = [[None] * structure.total_cols for _ in range(structure.total_rows)]
     state = {}  # var -> (last row, leftmost column)
     fresh = 0
-    for i in range(rows):
-        for j in range(cols):
-            if not nonzero[i][j]:
-                continue
-            lam = int(rng.integers(1, MAX_LAMBDA + 1))
-            var = None
-            if state and rng.random() < REUSE_PROB:
-                eligible = [v for v, (lr, lc) in state.items()
-                            if lr < i and lc > j]
-                if eligible:
-                    var = eligible[int(rng.integers(0, len(eligible)))]
-            if var is None:
-                var = "z%d" % fresh
-                fresh += 1
-            state[var] = (i, j)
-            grid[i][j] = (lam, var)
+    for i, j in np.argwhere(structure.pattern()).tolist():
+        lam = int(rng.integers(1, MAX_LAMBDA + 1))
+        var = None
+        if state and rng.random() < REUSE_PROB:
+            eligible = [v for v, (lr, lc) in state.items()
+                        if lr < i and lc > j]
+            if eligible:
+                var = eligible[int(rng.integers(0, len(eligible)))]
+        if var is None:
+            var = "z%d" % fresh
+            fresh += 1
+        state[var] = (i, j)
+        grid[i][j] = (lam, var)
     return SymbolicMatrix(tuple(tuple(r) for r in grid))

@@ -21,6 +21,9 @@ TPP_SHAPES = ((1,), (2,), (5,), (15,), (63,),
               (1, 1), (2, 2), (3, 3), (2, 4), (1, 15), (7, 7),
               (1, 1, 1), (2, 2, 2), (3, 3, 3), (1, 2, 3),
               (1, 1, 1, 1), (2, 2, 1, 1), (1, 1, 1, 1, 1))
+# run_count_suite's largest number of variables and degree
+COUNT_MAX_R = 6
+COUNT_MAX_D = 30
 
 
 def count_oracle(r, d, bounds=()):
@@ -49,7 +52,7 @@ def count_oracle(r, d, bounds=()):
     return rec(0, d)
 
 
-def run_count_suite(n_triples=1000, seed=0, max_r=6, max_d=30):
+def run_count_suite(n_triples=1000, seed=0):
     """Closed-form counts vs the enumeration oracle on random triples."""
     rng = exactalg.stream(seed, "selfcheck-count")
     failures = []
@@ -57,15 +60,15 @@ def run_count_suite(n_triples=1000, seed=0, max_r=6, max_d=30):
     corrections = 0
     enum_checked = 0
     for trial in range(n_triples):
-        r = int(rng.integers(1, max_r + 1))
+        r = int(rng.integers(1, COUNT_MAX_R + 1))
         n = int(rng.integers(0, r + 1))
-        j = int(rng.integers(0, max_d + 6))
+        j = int(rng.integers(0, COUNT_MAX_D + 6))
         bounds = tuple(int(rng.integers(0, j + 1)) for _ in range(n))
         if trial % 5 == 0:
             # steer into the +1 correction ranges at d = q - 2
             if trial % 10 == 0:
                 r, n = 3, 1
-                bounds = (int(rng.integers(4, max_d)),)
+                bounds = (int(rng.integers(4, COUNT_MAX_D)),)
             else:
                 r, n = 4, 2
                 bounds = (int(rng.integers(2, 12)), int(rng.integers(2, 12)))
@@ -74,7 +77,7 @@ def run_count_suite(n_triples=1000, seed=0, max_r=6, max_d=30):
             if d < 0:
                 d = 0
         else:
-            d = int(rng.integers(0, max_d + 1))
+            d = int(rng.integers(0, COUNT_MAX_D + 1))
         want = count_oracle(r, d, bounds)
         got = closed_form_count(r, d, bounds, j)
         if got is not None:
@@ -103,7 +106,7 @@ def run_tpp_suite(phis_per_poset=100, seed=0, shapes=TPP_SHAPES):
     for q in shapes:
         poset = gqposet.GQPoset(q)
         posets_checked += 1
-        mat = gqposet.topset_matrix(poset)
+        mat = gqposet.topset_matrix(poset).astype(np.int64)  # one cast, not one per product
         sizes = mat.sum(axis=1)
         n = len(poset)
         rng = exactalg.stream(seed, "selfcheck-tpp-%s" % (",".join(map(str, q))))
@@ -166,7 +169,7 @@ def run_gq3_suite(n_matrices=200, seed=0):
             "nonsingular": nonsingular, "failures": failures[:5]}
 
 
-def random_subspace(rng, p=exactalg.DEFAULT_PRIME):
+def random_subspace(rng):
     """A small random constrained subspace for crop/pattern checks."""
     while True:
         r = int(rng.integers(2, 5))
@@ -182,8 +185,8 @@ def random_subspace(rng, p=exactalg.DEFAULT_PRIME):
         if m == 0:
             continue
         s = int(rng.integers(1, 4))
-        coeffs = rng.integers(0, p, size=(s, m))
-        return apolarity.HomogeneousSubspace.from_dense(r, j, bounds, coeffs, p)
+        coeffs = rng.integers(0, exactalg.DEFAULT_PRIME, size=(s, m))
+        return apolarity.HomogeneousSubspace.from_dense(r, j, bounds, coeffs)
 
 
 def run_crop_suite(n_subspaces=100, seed=0):
@@ -231,10 +234,10 @@ def run_crop_suite(n_subspaces=100, seed=0):
             "failures": failures[:5]}
 
 
-def run_splice_suite(p=exactalg.DEFAULT_PRIME):
+def run_splice_suite():
     """The x^3 y^3 / x^3 z^3 splitting example at every degree."""
-    v = apolarity.HomogeneousSubspace.from_sparse(3, 6, [{(3, 3, 0): 1}], p=p)
-    w = apolarity.HomogeneousSubspace.from_sparse(3, 6, [{(3, 0, 3): 1}], p=p)
+    v = apolarity.HomogeneousSubspace.from_sparse(3, 6, [{(3, 3, 0): 1}])
+    w = apolarity.HomogeneousSubspace.from_sparse(3, 6, [{(3, 0, 3): 1}])
     failures = []
     for d in range(7):
         split = apolarity.sum_space_dimension(v, w, d)

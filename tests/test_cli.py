@@ -137,9 +137,11 @@ class TestOtherCommands:
         ["poset", "tpp", "--q", "-1"],
         ["poset", "topsets", "--q", "-1"],
         ["poset", "tpp", "--q", "1", "--trials", "-3"],
+        ["poset", "topsets", "--q", "1048576"],
+        ["lmatrix", "check", '{"entries":[],"q":[1024,1024],"row_sizes":[],"col_sizes":[]}'],
     ], ids=["no-sizes", "short-cell", "list-variable", "long-sizes", "float-lam",
             "bool-lam", "lmatrix-negative-q", "tpp-negative-q", "topsets-negative-q",
-            "negative-trials"])
+            "negative-trials", "topsets-huge-q", "lmatrix-huge-q"])
     def test_hostile_input_exits_1(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""

@@ -1,5 +1,6 @@
 """The bounded-exponent poset, topset enumeration, and TPP/TAP checks."""
 
+import time
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levelalg import exactalg
-from levelalg.gqposet import (FinitePoset, GQPoset, OrderPreservingFn,
+from levelalg import cli, exactalg
+from levelalg.gqposet import (MAX_WEIGHT, FinitePoset, GQPoset, OrderPreservingFn,
                               TopsetGuardExceeded, check_tap, check_tpp,
                               dominates, enumerate_topsets,
                               random_order_preserving, topset_matrix)
@@ -21,8 +22,7 @@ def brute_topsets(poset):
     for sub in chain.from_iterable(combinations(els, k)
                                    for k in range(len(els) + 1)):
         sub = frozenset(sub)
-        if all(poset.elements[j] in sub
-               for e in sub for j in poset.dominators[poset.index(e)]):
+        if all(x in sub for e in sub for x in els if dominates(x, e)):
             out.append(sub)
     return out
 
@@ -33,9 +33,11 @@ class TestPosetStructure:
         assert len(p) == 12
         assert p.top == (0, 0)
         assert p.bottom == (2, 3)
-        assert p.dominates((0, 1), (2, 3))
-        assert not p.dominates((2, 3), (0, 1))
-        assert not p.dominates((1, 0), (0, 1))
+        # the upper covers of I are the I - e_k, listed before I
+        at = p.elements.index((1, 2))
+        assert {p.elements[j] for j in p.covers[at]} == {(0, 2), (1, 1)}
+        assert all(j < i for i, c in enumerate(p.covers) for j in c)
+        assert not p.covers[0]
 
     def test_dominates_function(self):
         assert dominates((0, 0), (5, 5))
@@ -71,6 +73,23 @@ class TestTopsets:
         with pytest.raises(TopsetGuardExceeded):
             enumerate_topsets(GQPoset((1,) * 6))
 
+    def test_guard_counts_cells(self):
+        # beyond 64 elements the guard bounds masks x elements: 4096
+        # elements allow 2^14 topsets, and a chain of 10^5 has too many to start
+        with pytest.raises(TopsetGuardExceeded, match="more than 16384 topsets"):
+            enumerate_topsets(GQPoset((1,) * 12))
+        with pytest.raises(TopsetGuardExceeded, match="more than 671 topsets"):
+            enumerate_topsets(GQPoset((100000,)))
+
+    def test_guard_on_poset_size(self, capsys):
+        start = time.perf_counter()
+        with pytest.raises(TopsetGuardExceeded, match="1048577 elements"):
+            GQPoset((1 << 20,))
+        assert cli.main(["poset", "topsets", "--q", "100000"]) == 1
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: more than 671 topsets")
+
 
 class TestOrderPreserving:
     def test_validation(self):
@@ -78,6 +97,35 @@ class TestOrderPreserving:
         OrderPreservingFn({(0,): 3, (1,): 1}).validated(p)
         with pytest.raises(ValueError):
             OrderPreservingFn({(0,): 1, (1,): 3}).validated(p)
+
+    @given(q=st.lists(st.integers(0, 2), max_size=3), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_validated_matches_all_pairs(self, q, data):
+        # covers only against every dominating pair; a nonincreasing run
+        # along the element list (a linear extension) is always monotone
+        p = GQPoset(q)
+        vals = data.draw(st.lists(st.integers(-2, 2), min_size=len(p), max_size=len(p)))
+        if data.draw(st.booleans()):
+            vals.sort(reverse=True)
+        values = dict(zip(p.elements, vals))
+        monotone = all(values[a] >= values[b]
+                       for a in p.elements for b in p.elements if dominates(a, b))
+        try:
+            OrderPreservingFn(values).validated(p)
+            assert monotone
+        except ValueError:
+            assert not monotone
+
+    @pytest.mark.parametrize("q", [(), (3,), (2, 1), (1, 2, 2), (2, 0, 3)])
+    def test_random_phi_is_a_down_set_sum(self, q):
+        # the same draws, summed over every element I dominates
+        p = GQPoset(q)
+        phi = random_order_preserving(p, exactalg.stream(4, "test-sum"))
+        rng = exactalg.stream(4, "test-sum")
+        w = dict(zip(p.elements, rng.integers(0, MAX_WEIGHT + 1, size=len(p)).tolist()))
+        raw = {e: sum(w[x] for x in p.elements if dominates(e, x)) for e in p.elements}
+        shift = int(rng.integers(0, sum(raw.values()) // len(p) + 1))
+        assert phi.values == {e: raw[e] - shift for e in p.elements}
 
     def test_shifted_has_zero_total(self):
         p = GQPoset((2, 1))
@@ -110,7 +158,7 @@ class TestTppTap:
     def test_tap_fails_on_an_antichain(self):
         # two incomparable elements: TPP holds but the averaging property
         # fails, showing the chain-product structure matters
-        p = FinitePoset(["a", "b"], lambda x, y: x == y)
+        p = FinitePoset(["a", "b"], [(), ()])
         phi = OrderPreservingFn({"a": 0, "b": 2})
         assert check_tpp(p, phi).passed
         tap = check_tap(p, phi)
@@ -123,7 +171,7 @@ class TestTppTap:
             check_tpp(p, OrderPreservingFn({(0,): 0, (1,): -3}))
 
     def test_witness_reported(self):
-        p = FinitePoset(["a", "b"], lambda x, y: x == y)
+        p = FinitePoset(["a", "b"], [(), ()])
         phi = OrderPreservingFn({"a": -1, "b": 1})
         res = check_tpp(p, phi)
         assert not res.passed

@@ -3,7 +3,7 @@
 import pytest
 
 from levelalg import exactalg
-from levelalg.gqposet import GQPoset
+from levelalg.gqposet import GQPoset, dominates
 from levelalg.lmatrix import (GQBlockStructure, SymbolicMatrix, classify,
                               det_is_nonzero, exact_det_polynomial,
                               gq3_criterion, random_gq_structure,
@@ -57,10 +57,11 @@ class TestBlockStructure:
     def test_orders_and_spans(self):
         p = GQPoset((1,))
         st = GQBlockStructure(p, {(0,): 2, (1,): 1}, {(0,): 1, (1,): 2})
-        assert st.row_order == [(1,), (0,)]
-        assert st.col_order == [(0,), (1,)]
-        assert st.row_spans() == {(1,): (0, 1), (0,): (1, 3)}
-        assert st.col_spans() == {(0,): (0, 1), (1,): (1, 3)}
+        # block rows (1,), (0,) of 1 and 2 rows; block columns (0,), (1,)
+        # of 1 and 2 columns; only (1,) over (0,) is a zero block
+        assert st.pattern().tolist() == [[False, True, True],
+                                         [True, True, True],
+                                         [True, True, True]]
         assert st.is_square
         assert st.excess((0,)) == 1 and st.excess((1,)) == -1
 
@@ -82,6 +83,16 @@ class TestPattern:
         assert not verify_gq_pattern(bad, st)
         with pytest.raises(ValueError):
             verify_gq_pattern(M([[0]]), st)
+
+    def test_pattern_matches_cell_reference(self):
+        # cell (i, j) is nonzero iff its row block dominates its column block
+        rng = exactalg.stream(0, "test-pattern")
+        for _ in range(100):
+            st = random_gq_structure(rng)
+            row_blocks = [e for e in reversed(st.poset.elements) for _ in range(st.r[e])]
+            col_blocks = [e for e in st.poset.elements for _ in range(st.c[e])]
+            assert st.pattern().tolist() == [[dominates(a, b) for b in col_blocks]
+                                             for a in row_blocks]
 
 
 class TestDeterminant:
