@@ -38,25 +38,6 @@ def derivative_coefficient(j_idx, e_idx):
     return n
 
 
-def apply_derivative(e_idx, f, p=None):
-    """Apply X^E to a sparse form {monomial: coefficient}.
-
-    Returns the sparse result of degree deg(f) - |E|; monomials not divisible
-    by x^E vanish.
-    """
-    out = {}
-    for mono, coeff in f.items():
-        if any(mk < ek for mk, ek in zip(mono, e_idx)):
-            continue
-        n = derivative_coefficient(mono, e_idx)
-        target = tuple(mk - ek for mk, ek in zip(mono, e_idx))
-        val = out.get(target, 0) + n * coeff
-        if p is not None:
-            val %= p
-        out[target] = val
-    return {m: c for m, c in out.items() if c != 0}
-
-
 @dataclass(frozen=True)
 class GeneratorBlock:
     """Generators sharing a support box M_bounds(j), as dense coefficients."""

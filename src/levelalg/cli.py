@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from functools import lru_cache
+from math import prod
 
 from . import __version__, exactalg, families, gqposet, lmatrix, selfcheck
 from .apolarity import HomogeneousSubspace, hilbert_vector
@@ -240,10 +241,13 @@ def _cmd_lmatrix(args, p):
     try:
         m = lmatrix.SymbolicMatrix.from_json(obj["entries"])
         if "q" in obj:
-            poset = GQPoset(_bounds(obj["q"]))
+            # |G_Q| = prod(Q_i + 1): check the size lists before building G_Q
+            q = _bounds(obj["q"])
+            n = prod(x + 1 for x in q)
+            rows, cols = _sizes(obj, "row_sizes", n), _sizes(obj, "col_sizes", n)
+            poset = GQPoset(q)
             structure = lmatrix.GQBlockStructure(
-                poset, dict(zip(poset.elements[::-1], _sizes(obj, "row_sizes", len(poset)))),
-                dict(zip(poset.elements, _sizes(obj, "col_sizes", len(poset)))))
+                poset, dict(zip(poset.elements[::-1], rows)), dict(zip(poset.elements, cols)))
     except (KeyError, TypeError, ValueError) as e:
         raise UsageError("bad matrix: %s" % e)
     cls = lmatrix.classify(m)

@@ -2,21 +2,41 @@
 
 Everything downstream (Hilbert values, drop verification, the randomized
 determinant oracle) reduces to ranks of dense matrices over a prime field.
-Matrices are numpy int64 arrays with entries reduced mod p; all intermediate
-products stay below p^2 < 2^63, which `check_prime` enforces.  `rank` and
-`det` share one elimination kernel.  `json_int` is the integer check that
-every JSON parser applies to its numbers.
+Matrices are numpy int64 arrays with entries reduced mod p.  Two kernels
+eliminate them:
+
+- `_eliminate` pivots column by column in int64.  Every product of two
+  residues stays below p^2 < 2^63, so it is exact for every p up to
+  MAX_PRIME, which `check_prime` enforces.  `det` and the ranks of matrices
+  whose shorter side is at most PANEL rows use it, and it is the oracle the
+  tests hold the blocked kernel to.
+- `_rank_blocked` eliminates PANEL columns at a time in float64 and updates
+  the rest of the matrix with one BLAS matmul per panel (the right-looking
+  blocked elimination of FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS
+  2008).  A float64 dot product of PANEL residue products is an exact
+  integer only below 2^53, so `rank` uses it for p <= FLOAT_PRIME_LIMIT and
+  a shorter side over PANEL.  A matrix with fewer rows is one panel, which
+  blocking would only slow down.
+
+`json_int` is the integer check that every JSON parser applies to its numbers.
 """
 
 from __future__ import annotations
 
 import hashlib
 import operator
+from math import isqrt
 
 import numpy as np
 
 DEFAULT_PRIME = 32749
 MAX_PRIME = 3037000493  # the largest prime p with p * p < 2^63
+PANEL = 64  # columns per panel of `_rank_blocked`
+# The largest p with PANEL * (p - 1)^2 + p < 2^53: a sum of PANEL products of
+# residues, plus one residue, is then an exact float64 integer.  With t = p - 1
+# this is PANEL*t*t + t <= 2^53 - 2, solved exactly with an integer sqrt.
+FLOAT_PRIME_LIMIT = 1 + (isqrt(4 * PANEL * (2 ** 53 - 2) + 1) - 1) // (2 * PANEL)
+_CHUNK_ROWS = 128  # rows per trailing-update matmul, which bounds its temporaries
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -113,20 +133,126 @@ def _eliminate(a, p):
     return r, d
 
 
+def _reduce(x, p):
+    """Reduce a float64 array of integers below 2^53 in magnitude into [0, p), in place.
+
+    Such floats convert to int64 exactly, so the int64 remainder is exact and
+    needs no rounding fix-up.
+    """
+    t = x.astype(np.int64)
+    np.remainder(t, p, out=t)
+    x[...] = t
+
+
+def _unit_lower_inverse(n, p):
+    """(I - n)^-1 mod p for a strictly lower triangular n of residues.
+
+    n is nilpotent, so the inverse is I + n + n^2 + ..., built as the product
+    (I + n)(I + n^2)(I + n^4)... with two matmuls per doubling.
+    """
+    x = n + np.eye(len(n))
+    power, terms = n, 2
+    while terms < len(n):
+        power = power @ power
+        _reduce(power, p)
+        x += x @ power
+        _reduce(x, p)
+        terms *= 2
+    return x
+
+
+def _rank_blocked(a, p):
+    """Rank of a float64 matrix of residues mod p <= FLOAT_PRIME_LIMIT, eliminated in place.
+
+    Each step copies the next PANEL columns out as a contiguous panel and
+    eliminates it column by column, keeping the multipliers of each pivot
+    column (L) and the pivot rows scaled to a unit pivot.  Row swaps move
+    the whole row of the panel and of the trailing columns.  The panel's k
+    pivot rows give the trailing pivot rows V12 = L11^-1 A12, and the rest
+    of the matrix is updated as A22 - L21 V12 by one matmul per chunk of
+    rows.  Panel entries are reduced only when their column is reached, so
+    each has taken fewer than PANEL unreduced rank-1 updates, and every
+    matmul sums at most PANEL products: all values stay below
+    PANEL * (p - 1)^2 + p.
+    """
+    m, n = a.shape
+    r = 0
+    for c0 in range(0, n, PANEL):
+        if r == m:
+            break
+        c1 = min(c0 + PANEL, n)
+        r0 = r
+        panel = a[r0:, c0:c1].T.copy()  # one contiguous row per column
+        piv, invs = [], []
+        for c in range(c1 - c0):
+            if r == m:
+                break
+            i = r - r0
+            col = panel[c, i:]
+            _reduce(col, p)
+            nz = np.flatnonzero(col)
+            if nz.size == 0:
+                continue
+            if nz[0]:
+                s = i + int(nz[0])
+                panel[:, [i, s]] = panel[:, [s, i]]
+                a[[r, r0 + s], c1:] = a[[r0 + s, r], c1:]
+            inv = pow(int(col[0]), -1, p)
+            u = panel[c + 1:, i]
+            _reduce(u, p)
+            u *= inv
+            _reduce(u, p)
+            panel[c + 1:, i + 1:] -= np.multiply.outer(u, col[1:])
+            piv.append(c)
+            invs.append(inv)
+            r += 1
+        k = r - r0
+        if k == 0 or c1 == n or r == m:
+            continue
+        # L11 = L~ D with L~ unit lower and D the pivots, so L11^-1 = D^-1 L~^-1.
+        lower = panel[piv]
+        inv_d = np.array(invs, dtype=np.float64)
+        unit = lower[:, :k].T * inv_d
+        _reduce(unit, p)
+        neg = np.tril(p - unit, -1)
+        _reduce(neg, p)
+        solve = _unit_lower_inverse(neg, p) * inv_d[:, None]
+        _reduce(solve, p)
+        v12 = solve @ a[r0:r, c1:]
+        _reduce(v12, p)
+        l21 = lower[:, k:].T.copy()
+        for s in range(r, m, _CHUNK_ROWS):
+            block = a[s:s + _CHUNK_ROWS, c1:]
+            block -= l21[s - r:s - r + _CHUNK_ROWS] @ v12
+            _reduce(block, p)
+    return r
+
+
 def rank(mat, p=DEFAULT_PRIME):
     """Rank over GF(p) by Gaussian elimination on a copy.
 
-    A tall matrix is eliminated as its transpose (rank(A) = rank(A^T)), so
-    the pivot loop runs over the shorter side.
+    All-zero rows and columns are dropped first; a derivative matrix over a
+    support box can be mostly such lines.  A tall matrix is eliminated as its
+    transpose (rank(A) = rank(A^T)), so the pivot loop runs over the shorter
+    side.  That side over PANEL, and p at most FLOAT_PRIME_LIMIT, send the
+    copy to the blocked float64 kernel; every other matrix goes to
+    `_eliminate`.
     """
     p = check_prime(p)
     a = np.asarray(mat, dtype=np.int64)
     if a.ndim != 2:
         raise ValueError("rank needs a 2-d matrix")
+    rows, cols = a.any(axis=1), a.any(axis=0)
+    if not (rows.all() and cols.all()):
+        a = a[np.ix_(rows, cols)]
     if a.size == 0:
         return 0
     if a.shape[0] > a.shape[1]:
         a = a.T
+    if a.shape[0] > PANEL and p <= FLOAT_PRIME_LIMIT:
+        b = np.empty(a.shape, dtype=np.float64)
+        np.mod(a, p, out=b)
+        return _rank_blocked(b, p)
     return _eliminate(np.mod(a, p, order="C"), p)[0]
 
 

@@ -9,14 +9,33 @@ from hypothesis import strategies as st
 
 from levelalg import apolarity, exactalg, lmatrix
 from levelalg.apolarity import (GeneratorBlock, HomogeneousSubspace,
-                                apply_derivative, build_matrix,
-                                derivative_coefficient, derivative_template,
-                                hilbert_value, hilbert_vector,
-                                max_rank_predicate, standard_structure,
-                                sum_space_dimension)
+                                build_matrix, derivative_coefficient,
+                                derivative_template, hilbert_value,
+                                hilbert_vector, max_rank_predicate,
+                                standard_structure, sum_space_dimension)
 from levelalg.multiindex import enumerate_constrained
 
 P = exactalg.DEFAULT_PRIME
+
+
+def apply_derivative(e_idx, f, p=None):
+    """Apply X^E to a sparse form {monomial: coefficient}.
+
+    Returns the sparse result of degree deg(f) - |E|; monomials not divisible
+    by x^E vanish.  This is the term-by-term oracle for the assembled
+    derivative matrices.
+    """
+    out = {}
+    for mono, coeff in f.items():
+        if any(mk < ek for mk, ek in zip(mono, e_idx)):
+            continue
+        n = derivative_coefficient(mono, e_idx)
+        target = tuple(mk - ek for mk, ek in zip(mono, e_idx))
+        val = out.get(target, 0) + n * coeff
+        if p is not None:
+            val %= p
+        out[target] = val
+    return {m: c for m, c in out.items() if c != 0}
 
 
 def random_blocks(seed, p=P):

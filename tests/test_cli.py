@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, formats, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -139,11 +140,15 @@ class TestOtherCommands:
         ["poset", "tpp", "--q", "1", "--trials", "-3"],
         ["poset", "topsets", "--q", "1048576"],
         ["lmatrix", "check", '{"entries":[],"q":[1024,1024],"row_sizes":[],"col_sizes":[]}'],
+        ["lmatrix", "check", '{"entries":[],"q":[1023,1023],"row_sizes":[0],"col_sizes":[0]}'],
     ], ids=["no-sizes", "short-cell", "list-variable", "long-sizes", "float-lam",
             "bool-lam", "lmatrix-negative-q", "tpp-negative-q", "topsets-negative-q",
-            "negative-trials", "topsets-huge-q", "lmatrix-huge-q"])
+            "negative-trials", "topsets-huge-q", "lmatrix-huge-q", "lmatrix-short-sizes-big-q"])
     def test_hostile_input_exits_1(self, capsys, argv):
+        # refused before any work that grows with the input: well under 1 s
+        t0 = time.monotonic()
         code, out, err = run(capsys, *argv)
+        assert time.monotonic() - t0 < 1
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 

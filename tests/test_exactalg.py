@@ -2,14 +2,20 @@
 
 from fractions import Fraction
 from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levelalg import exactalg
+from levelalg import apolarity, exactalg, families
 from levelalg.lmatrix import SymbolicMatrix
+
+# The largest prime the float64 kernel takes, and the first it refuses.
+LAST_FLOAT_PRIME = 11863279
+FIRST_INT64_PRIME = 11863289
+BLOCKED_PRIMES = [2, 3, 97, exactalg.DEFAULT_PRIME, LAST_FLOAT_PRIME, FIRST_INT64_PRIME]
 
 
 def rational_rank(mat):
@@ -47,6 +53,16 @@ def permanent_style_det(mat, p):
     return total % p
 
 
+def oracle_rank(mat, p):
+    """Rank of mat mod p by the int64 kernel, on a reduced copy."""
+    return exactalg._eliminate(np.mod(np.asarray(mat, dtype=np.int64), p), p)[0]
+
+
+def blocked_rank(mat, p):
+    """Rank of mat mod p by the float64 blocked kernel, on a reduced copy."""
+    return exactalg._rank_blocked(np.mod(np.asarray(mat, dtype=np.int64), p).astype(np.float64), p)
+
+
 def trial_division(n):
     return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
 
@@ -69,6 +85,14 @@ class TestPrimality:
         assert not exactalg.is_prime(561) and not exactalg.is_prime(3037000499)
         assert exactalg.is_prime(2 ** 61 - 1)
         assert exactalg.is_prime(9223372036854775783)  # the largest prime below 2^63
+
+    def test_float_prime_limit(self):
+        limit = exactalg.FLOAT_PRIME_LIMIT
+        assert exactalg.PANEL == 64 and limit == 11863284
+        assert 64 * (limit - 1) ** 2 + limit < 2 ** 53 <= 64 * limit ** 2 + limit + 1
+        assert [q for q in range(LAST_FLOAT_PRIME, FIRST_INT64_PRIME + 1)
+                if exactalg.is_prime(q)] == [LAST_FLOAT_PRIME, FIRST_INT64_PRIME]
+        assert LAST_FLOAT_PRIME <= limit < FIRST_INT64_PRIME
 
     def test_check_prime_bound(self):
         assert exactalg.check_prime(exactalg.MAX_PRIME) == 3037000493
@@ -134,11 +158,52 @@ class TestRank:
                   (b.dot(c) % p).astype(np.int64).reshape(rows, cols)):
             got = exactalg.rank(m, p)
             assert got == exactalg.rank(m.T, p) <= n
+            # These matrices are one panel, so the float64 kernel must agree
+            # wherever it is exact; MAX_PRIME is past FLOAT_PRIME_LIMIT.
+            assert got == oracle_rank(m, p) == oracle_rank(m.T, p)
+            if p <= exactalg.FLOAT_PRIME_LIMIT:
+                assert got == blocked_rank(m, p) == blocked_rank(m.T, p)
             sq = m[:n, :n]
             d = exactalg.det(sq, p)
             assert d == exactalg.det(sq.T, p)
             assert (d != 0) == (exactalg.rank(sq, p) == n)
         assert got <= k
+
+    @given(rows=st.integers(65, 200), cols=st.integers(65, 200),
+           k=st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129, 191, 192, 193])
+           | st.integers(0, 200),
+           sparse=st.booleans(), seed=st.integers(0, 10 ** 6),
+           p=st.sampled_from(BLOCKED_PRIMES))
+    @settings(max_examples=40, deadline=None)
+    def test_blocked_matches_int64_kernel(self, rows, cols, k, sparse, seed, p):
+        # B (rows x k) times C (k x cols) has rank at most k, and k near a
+        # multiple of 64 ends the pivots at a panel edge.  With sparse, about
+        # a third of C's columns are zero, so some panel columns hold no pivot
+        # when the kernel runs on m as it is.
+        b = exactalg.sample((rows, k), seed, "blocked-b", p)
+        c = exactalg.sample((k, cols), seed, "blocked-c", p)
+        if sparse:
+            c[:, exactalg.stream(seed, "blocked-zero").random(cols) < 1 / 3] = 0
+        m = b @ c % p  # int64 is exact: k * (p - 1)^2 < 2^63
+        want = oracle_rank(m, p)
+        assert want <= min(k, rows, cols)
+        if p <= exactalg.FLOAT_PRIME_LIMIT:
+            assert blocked_rank(m, p) == want
+        # rank drops all-zero lines, then takes the blocked kernel when the
+        # shorter side left is over PANEL and p is at most the limit
+        short = min(m.any(axis=1).sum(), m.any(axis=0).sum())
+        with mock.patch.object(exactalg, "_rank_blocked",
+                               wraps=exactalg._rank_blocked) as spy:
+            assert exactalg.rank(m, p) == exactalg.rank(m.T, p) == want
+        assert spy.called == (short > exactalg.PANEL and p <= exactalg.FLOAT_PRIME_LIMIT)
+
+    def test_blocked_on_a_derivative_matrix(self):
+        # G2 (a, b, i, s) = (4, 6, 14, 2) at degree 14: 601 x 441, rank 433
+        w = families.construct(families.require_valid("G2", a=4, b=6, i=14, s=2), 0)
+        t = apolarity.derivative_template(w.r, w.j, tuple(b.bounds for b in w.blocks), 14, w.p)
+        m = t.assemble([b.coeffs for b in w.blocks])
+        assert m.shape == (601, 441)
+        assert blocked_rank(m.T, w.p) == oracle_rank(m, w.p) == exactalg.rank(m, w.p) == 433
 
     def test_large_prime_exact_or_refused(self):
         m = exactalg.sample((6, 6), 1, "big-prime", exactalg.MAX_PRIME)
