@@ -11,6 +11,9 @@ confining its monomial support, and matrices are cropped per block: rows
 range over operator exponents inside the box, columns over the union of the
 per-block target supports.  Cropping removes only all-zero rows and columns,
 so ranks match the uncropped matrices.
+
+No derivative matrix over MAX_CELLS entries is built: `check_cells` counts
+its shape first and refuses it with a ValueError.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from . import exactalg
 from .gqposet import GQPoset
 from .lmatrix import GQBlockStructure, SymbolicMatrix
 from .multiindex import count_constrained, enumerate_constrained
+
+MAX_CELLS = 2 ** 24  # entries of the largest derivative matrix that is built
 
 
 def derivative_coefficient(j_idx, e_idx):
@@ -50,9 +55,10 @@ class GeneratorBlock:
     def __post_init__(self):
         object.__setattr__(self, "bounds", tuple(self.bounds))
         object.__setattr__(self, "coeffs", np.atleast_2d(np.asarray(self.coeffs, dtype=np.int64)))
-        if self.coeffs.shape[1] != len(self.support):
+        width = count_constrained(self.r, self.j, self.bounds, self.j)
+        if self.coeffs.shape[1] != width:
             raise ValueError("coefficient width %d != support size %d"
-                             % (self.coeffs.shape[1], len(self.support)))
+                             % (self.coeffs.shape[1], width))
 
     @property
     def support(self):
@@ -105,6 +111,7 @@ class HomogeneousSubspace:
                     for k, v in enumerate(mono):
                         box[k] = max(box[k], v)
             bounds = tuple(min(v, j) for v in box)
+        check_cells(r, j, j, ((bounds, len(generators)),))  # s x support
         support = enumerate_constrained(r, j, tuple(bounds))
         index = {m: i for i, m in enumerate(support)}
         coeffs = np.zeros((len(generators), len(support)), dtype=np.int64)
@@ -147,6 +154,26 @@ class HomogeneousSubspace:
                  exactalg.json_int(t["coeff"], "coeff", signed=True) for t in g}
                 for g in obj["generators"]]
         return cls.from_sparse(r, j, gens, bounds, p)
+
+
+def check_cells(r, j, d, crops):
+    """The counted (rows, cols) of the degree-d derivative matrix, refused over MAX_CELLS.
+
+    crops holds one (crop box, generator count) pair per block; a block with
+    no generators still builds its grid of positions, so it counts as one.
+    The shape is counted, not enumerated: rows exactly, columns as the
+    smaller of the blocks' total and the count of the least box holding
+    every crop box, which is exact for one block and for nested boxes.
+    """
+    rows = sum(max(s, 1) * count_constrained(r, j - d, box, j) for box, s in crops)
+    total = sum(count_constrained(r, d, box, j) for box, _ in crops)
+    padded = [tuple(box) + (j,) * (r - len(box)) for box, _ in crops]
+    hull = tuple(max(col) for col in zip(*padded))
+    cols = min(total, count_constrained(r, d, hull, j))
+    if rows * cols > MAX_CELLS:
+        raise ValueError("the degree-%d derivative matrix would be %d x %d, over the limit "
+                         "of %d entries" % (d, rows, cols, MAX_CELLS))
+    return rows, cols
 
 
 @dataclass(frozen=True)
@@ -291,6 +318,7 @@ def build_matrix(generators, bounds, r, j, d, cropped=True, symbolic=False,
     bounds = tuple(bounds)
     generators = GeneratorBlock(r, j, bounds, generators).coeffs  # checks the width
     s = generators.shape[0]
+    check_cells(r, j, d, ((bounds if cropped else (), s),))
     t = derivative_template(r, j, (bounds,), d, p, cropped)
     part = t.blocks[0]
     row_index = tuple((ee, i) for ee in part.rows for i in range(s))
@@ -310,6 +338,7 @@ def hilbert_value(w, d):
     """h(d) = dim R_{j-d} * W, the rank of the cropped derivative matrix."""
     if d < 0 or d > w.j:
         return 0
+    check_cells(w.r, w.j, d, tuple((b.bounds, b.n_generators) for b in w.blocks))
     t = derivative_template(w.r, w.j, tuple(b.bounds for b in w.blocks), d, w.p)
     return exactalg.rank(t.assemble([b.coeffs for b in w.blocks]), w.p)
 
@@ -362,10 +391,15 @@ class MaxRankReport:
 def max_rank_predicate(bounds, r, j, d, s):
     """Row/column counts of the cropped matrix and the tall-enough guarantee.
 
-    When rows >= cols the generic rank is full, so the predicted Hilbert
-    value at degree d is the column count.
+    With some coordinate unconstrained (a bound of j or more constrains
+    nothing), generic generators give a matrix of maximal rank, so when
+    rows >= cols the predicted Hilbert value at degree d is the column
+    count.  A box that bounds every coordinate below j has no such
+    guarantee: for r = 3, j = 7, box (2, 4, 2) and s = 2 the 6 x 6 matrix
+    at d = 6 has rank 5 for every draw.
     """
     e = j - d
     rows = s * count_constrained(r, e, bounds, j)
     cols = count_constrained(r, d, bounds, j)
-    return MaxRankReport(rows, cols, rows >= cols)
+    free = sum(q < j for q in bounds) < r
+    return MaxRankReport(rows, cols, free and rows >= cols)

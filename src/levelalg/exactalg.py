@@ -5,9 +5,10 @@ determinant oracle) reduces to ranks of dense matrices over a prime field.
 Matrices are numpy int64 arrays with entries reduced mod p.  Two kernels
 eliminate them:
 
-- `_eliminate` pivots column by column in int64.  Every product of two
-  residues stays below p^2 < 2^63, so it is exact for every p up to
-  MAX_PRIME, which `check_prime` enforces.  `det` and the ranks of matrices
+- `_eliminate` eliminates in int64 pivot by pivot, skipping dead columns,
+  so its steps follow the rank, not the width.  Every product of two residues
+  stays below p^2 < 2^63, so it is exact for every p up to MAX_PRIME,
+  which `check_prime` enforces.  `det` and the ranks of matrices
   whose shorter side is at most PANEL rows use it, and it is the oracle the
   tests hold the blocked kernel to.
 - `_rank_blocked` eliminates PANEL columns at a time in float64 and updates
@@ -108,15 +109,20 @@ def _eliminate(a, p):
     """(rank, d) of an int64 matrix reduced mod p, eliminated in place.
 
     d is the sign of the row swaps times the product of the pivots, so for a
-    square matrix of full rank it is the determinant.
+    square matrix of full rank it is the determinant.  The loop advances by
+    pivots: a column with no nonzero entry left in the remaining rows stays
+    so, and one vectorized scan jumps from such a column to the next live
+    one.  That is at most 2 * rank + 1 steps, whatever the width.
     """
     m, n = a.shape
-    r, d = 0, 1
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, c])[0]
+    r, c, d = 0, 0, 1
+    while r < m and c < n:
+        nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
+            live = np.flatnonzero(a[r:, c + 1:].any(axis=0))
+            if live.size == 0:
+                break
+            c += 1 + int(live[0])
             continue
         piv = r + int(nz[0])
         if piv != r:
@@ -130,6 +136,7 @@ def _eliminate(a, p):
         if hot.size:
             a[r + 1 + hot, c:] = (a[r + 1 + hot, c:] - below[hot, None] * a[r, None, c:]) % p
         r += 1
+        c += 1
     return r, d
 
 
@@ -233,10 +240,10 @@ def rank(mat, p=DEFAULT_PRIME):
 
     All-zero rows and columns are dropped first; a derivative matrix over a
     support box can be mostly such lines.  A tall matrix is eliminated as its
-    transpose (rank(A) = rank(A^T)), so the pivot loop runs over the shorter
-    side.  That side over PANEL, and p at most FLOAT_PRIME_LIMIT, send the
-    copy to the blocked float64 kernel; every other matrix goes to
-    `_eliminate`.
+    transpose (rank(A) = rank(A^T)), so the rows are the shorter side.  That
+    side over PANEL, and p at most FLOAT_PRIME_LIMIT, send the copy to the
+    blocked float64 kernel; every other matrix goes to `_eliminate`, whose
+    loop takes at most 2 * rank + 1 steps.
     """
     p = check_prime(p)
     a = np.asarray(mat, dtype=np.int64)

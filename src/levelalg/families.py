@@ -290,8 +290,8 @@ def deltas(params, d):
 def construct(params, seed, p=exactalg.DEFAULT_PRIME):
     """The random subspace E + F for these parameters, deterministic in seed."""
     r, j = params.r, params.j
-    m_p = len(enumerate_constrained(r, j, params.p_bounds))
-    m_q = len(enumerate_constrained(r, j, params.q_bounds))
+    m_p = count_constrained(r, j, params.p_bounds, j)
+    m_q = count_constrained(r, j, params.q_bounds, j)
     e_block = GeneratorBlock(r, j, params.p_bounds,
                              exactalg.sample((params.s, m_p), seed, "family-E", p))
     f_block = GeneratorBlock(r, j, params.q_bounds,

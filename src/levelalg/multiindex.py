@@ -5,7 +5,8 @@ Q = (Q_1, ..., Q_n) with n <= r bounds the first n exponents; M_Q(d) denotes
 the set of multi-indexes of dimension r and degree d with I_i <= Q_i for
 i <= n, and m_Q(d) its cardinality.  Closed-form counts are available for
 several constraint shapes; `closed_form_count` reports applicability instead
-of silently falling back.
+of silently falling back, and `count_constrained` counts every other shape
+without enumerating it.
 """
 
 from __future__ import annotations
@@ -184,6 +185,22 @@ def _prefixes(bounds, d):
 
 
 def count_constrained(r, d, bounds=(), j=None):
-    """m_Q(d) = #M_Q(d): the closed form where one applies, else by enumeration."""
+    """m_Q(d) = #M_Q(d): the closed form where one applies, else by series.
+
+    m_Q(d) is the coefficient of x^d in prod_i (1 - x^(Q_i+1)) / (1 - x)^r.
+    The numerator is expanded one bound at a time as a sparse map from
+    exponent to coefficient, cut at d, so nothing is enumerated and the work
+    grows with the number of distinct exponents below d, not with m_Q(d).
+    """
+    if len(bounds) > r:
+        raise ValueError("more bounds than coordinates")
     cf = closed_form_count(r, d, bounds, j)
-    return cf if cf is not None else len(enumerate_constrained(r, d, bounds))
+    if cf is not None:
+        return cf
+    num = {0: 1}
+    for q in bounds:
+        step = q + 1
+        for e, c in list(num.items()):
+            if e + step <= d:
+                num[e + step] = num.get(e + step, 0) - c
+    return sum(c * comb(d - e + r - 1, r - 1) for e, c in num.items())

@@ -1,19 +1,21 @@
 """Derivative action, matrix construction, and Hilbert values."""
 
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_exactalg import rational_rank
 
-from levelalg import apolarity, exactalg, lmatrix
+from levelalg import apolarity, exactalg, families, lmatrix, multiindex
 from levelalg.apolarity import (GeneratorBlock, HomogeneousSubspace,
                                 build_matrix, derivative_coefficient,
                                 derivative_template, hilbert_value,
                                 hilbert_vector, max_rank_predicate,
                                 standard_structure, sum_space_dimension)
-from levelalg.multiindex import enumerate_constrained
+from levelalg.multiindex import count_constrained, enumerate_constrained
 
 P = exactalg.DEFAULT_PRIME
 
@@ -241,6 +243,93 @@ class TestSumAndPredicate:
         assert rep.guaranteed_full_rank
         rep = max_rank_predicate((), 2, 7, 5, s=1)
         assert not rep.guaranteed_full_rank
+
+    @given(r=st.integers(1, 5), j=st.integers(0, 8),
+           bounds=st.lists(st.integers(0, 8), max_size=5), s=st.integers(1, 3),
+           seed=st.integers(0, 10 ** 6))
+    @settings(max_examples=150, deadline=None)
+    def test_maximal_rank_on_built_matrices(self, r, j, bounds, s, seed):
+        # The paper's claim on the matrices the program builds: for generic
+        # generators in one box with a coordinate left free, h(d) =
+        # min(rows, cols) at every degree.  A miss may be a non-generic
+        # draw, so re-seed as verify_drop does.
+        bounds = tuple(min(q, j) for q in bounds[:r])
+        m = count_constrained(r, j, bounds)
+        assume(m > 0 and sum(q < j for q in bounds) < r)
+        want = [min(rep.rows, rep.cols)
+                for rep in (max_rank_predicate(bounds, r, j, d, s) for d in range(j + 1))]
+        for attempt in range(4):
+            w = HomogeneousSubspace.from_dense(
+                r, j, bounds, exactalg.sample((s, m), seed + attempt, "max-rank"))
+            got = [hilbert_value(w, d) for d in range(j + 1)]
+            if got == want:
+                break
+        assert got == want
+
+    @pytest.mark.parametrize("r,j,bounds,d,rank", [(3, 7, (2, 4, 2), 6, 5),
+                                                  (4, 8, (4, 1, 4, 1), 6, 15)])
+    def test_no_maximal_rank_when_every_coordinate_is_bounded(self, r, j, bounds, d, rank):
+        # Square matrices one short of full rank for every seed and prime
+        # tried; so the predicate guarantees nothing for such a box.
+        rep = max_rank_predicate(bounds, r, j, d, s=2)
+        assert rep.rows == rep.cols == rank + 1 and not rep.guaranteed_full_rank
+        m = count_constrained(r, j, bounds)
+        for seed in range(5):
+            w = HomogeneousSubspace.from_dense(r, j, bounds, exactalg.sample((2, m), seed, "max-rank"))
+            assert hilbert_value(w, d) == rank
+
+    @given(r=st.integers(1, 3), j=st.integers(1, 5),
+           bounds=st.lists(st.integers(0, 5), max_size=3), s=st.integers(1, 2),
+           seed=st.integers(0, 10 ** 6), p=st.sampled_from([7, 11, 13, P]))
+    @settings(max_examples=60, deadline=None)
+    def test_rank_mod_p_at_most_rational_rank(self, r, j, bounds, s, seed, p):
+        # The integer derivative matrix n(J, E) z_{i,J}, with small integer
+        # z, reduces mod p to the matrix build_matrix assembles over GF(p);
+        # reduction can only lose rank.
+        bounds = tuple(min(q, j) for q in bounds[:r])
+        support = enumerate_constrained(r, j, bounds)
+        assume(support)
+        index = {m: k for k, m in enumerate(support)}
+        z = exactalg.sample((s, len(support)), seed, "rational-rank", p=5)
+        for d in range(j + 1):
+            sym = build_matrix(z, bounds, r, j, d, symbolic=True).matrix
+            ints = np.array([[0 if cell is None else cell[0] * int(z[cell[1][0], index[cell[1][1]]])
+                              for cell in row] for row in sym.entries],
+                            dtype=np.int64).reshape(sym.nrows, sym.ncols)
+            assert np.array_equal(ints % p, build_matrix(z, bounds, r, j, d, p=p).matrix)
+            assert exactalg.rank(ints, p) <= rational_rank(ints)
+
+
+class TestSizeGuard:
+    def test_counted_shapes_match_the_built_ones(self):
+        # Rows are counted exactly.  Columns are exact for nested boxes (the
+        # E box P lies in the F box in F1 and F2) and never below the truth.
+        for fam, kw, _, _ in families.GOLDEN:
+            prm = families.require_valid(fam, **kw)
+            w = families.construct(prm, 0)
+            crops = tuple((b.bounds, b.n_generators) for b in w.blocks)
+            for d in (prm.i, w.j):
+                rows, cols = apolarity.check_cells(w.r, w.j, d, crops)
+                shape = assembled(w, d).shape
+                assert rows == shape[0] and cols >= shape[1]
+                assert cols == shape[1] or fam not in ("F1", "F2")
+
+    def test_limit_admits_the_largest_family_matrix(self, monkeypatch):
+        # F1 (a, i) = (30, 60) builds 2476 x 1891 at degree 60
+        prm = families.require_valid("F1", a=30, i=60, s=4)
+        crops = ((prm.p_bounds, prm.s), (prm.q_bounds, prm.u))
+        assert apolarity.check_cells(prm.r, prm.j, 60, crops) == (2476, 1891)
+        for d in range(61, 64):
+            apolarity.check_cells(prm.r, prm.j, d, crops)
+        monkeypatch.setattr(apolarity, "MAX_CELLS", 2476 * 1891 - 1)
+        with pytest.raises(ValueError, match="degree-60 derivative matrix would be 2476 x 1891"):
+            apolarity.check_cells(prm.r, prm.j, 60, crops)
+
+    def test_refused_before_enumeration(self):
+        gen = [{(30,) + (0,) * 11: 1}]
+        with mock.patch.object(multiindex, "_enumerate_cached", side_effect=AssertionError):
+            with pytest.raises(ValueError, match="1 x 3159461968"):
+                HomogeneousSubspace.from_sparse(12, 30, gen, bounds=(30,) * 12)
 
 
 class TestDerivativeTemplate:

@@ -141,9 +141,18 @@ class TestOtherCommands:
         ["poset", "topsets", "--q", "1048576"],
         ["lmatrix", "check", '{"entries":[],"q":[1024,1024],"row_sizes":[],"col_sizes":[]}'],
         ["lmatrix", "check", '{"entries":[],"q":[1023,1023],"row_sizes":[0],"col_sizes":[0]}'],
+        # C(41, 11) = 3159461968 support monomials, counted and not enumerated
+        ["hilbert", '{"r":12,"j":30,"generators":[[{"monomial":[30%s],"coeff":1}]],'
+                    '"constraint":{"bounds":[%s]}}' % (",0" * 11, ",".join(["30"] * 12))],
+        # no generators: the support would still be enumerated
+        ["hilbert", '{"r":12,"j":30,"generators":[],"constraint":{"bounds":[%s]}}'
+                    % ",".join(["30"] * 12)],
+        # a 227251 x 180901 derivative matrix at degree 600
+        ["family", "verify", '{"family":"F1","a":300,"i":600,"s":4}'],
     ], ids=["no-sizes", "short-cell", "list-variable", "long-sizes", "float-lam",
             "bool-lam", "lmatrix-negative-q", "tpp-negative-q", "topsets-negative-q",
-            "negative-trials", "topsets-huge-q", "lmatrix-huge-q", "lmatrix-short-sizes-big-q"])
+            "negative-trials", "topsets-huge-q", "lmatrix-huge-q", "lmatrix-short-sizes-big-q",
+            "hilbert-huge-support", "hilbert-empty-huge-support", "family-huge-matrix"])
     def test_hostile_input_exits_1(self, capsys, argv):
         # refused before any work that grows with the input: well under 1 s
         t0 = time.monotonic()
