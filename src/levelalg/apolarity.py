@@ -12,15 +12,16 @@ range over operator exponents inside the box, columns over the union of the
 per-block target supports.  Cropping removes only all-zero rows and columns,
 so ranks match the uncropped matrices.
 
-No derivative matrix over MAX_CELLS entries is built: `check_cells` counts
-its shape first and refuses it with a ValueError.
+No derivative matrix over MAX_CELLS entries, and no monomial list over
+MAX_MONOMIALS, is built: `check_cells` counts them first and refuses them
+with a ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .lmatrix import GQBlockStructure, SymbolicMatrix
 from .multiindex import count_constrained, enumerate_constrained
 
 MAX_CELLS = 2 ** 24  # entries of the largest derivative matrix that is built
+MAX_MONOMIALS = 2 ** 18  # monomials in the longest support, row or column list
 
 
 def derivative_coefficient(j_idx, e_idx):
@@ -99,32 +101,44 @@ class HomogeneousSubspace:
     def from_sparse(cls, r, j, generators, bounds=None, p=exactalg.DEFAULT_PRIME):
         """Build from sparse generators [{monomial: coeff}, ...].
 
-        Without an explicit bound tuple the support box is the componentwise
-        maximum over all monomials (cropping to it never changes ranks).
+        Terms whose coefficient is 0 mod p are dropped.  With an explicit
+        bound tuple the subspace is one block.  Without one, a generator's
+        box is the componentwise maximum of its monomials, and each run of
+        consecutive generators with the same box is a block.  A generator's
+        derivatives vanish outside its own box, so cropping to it never
+        changes ranks.
         """
-        if any(len(mono) != r for g in generators for mono in g):
-            raise ValueError("every monomial must have r = %d entries" % r)
-        if bounds is None:
-            box = [0] * r
-            for g in generators:
-                for mono in g:
-                    for k, v in enumerate(mono):
-                        box[k] = max(box[k], v)
-            bounds = tuple(min(v, j) for v in box)
-        check_cells(r, j, j, ((bounds, len(generators)),))  # s x support
-        support = enumerate_constrained(r, j, tuple(bounds))
-        index = {m: i for i, m in enumerate(support)}
-        coeffs = np.zeros((len(generators), len(support)), dtype=np.int64)
-        for gi, g in enumerate(generators):
-            for mono, coeff in g.items():
-                mono = tuple(mono)
+        terms = []
+        for g in generators:
+            for mono in g:
+                if len(mono) != r:
+                    raise ValueError("every monomial must have r = %d entries" % r)
                 if sum(mono) != j:
-                    raise ValueError("generator monomial %r has degree != %d"
-                                     % (mono, j))
-                if mono not in index:
-                    raise ValueError("monomial %r outside the support box" % (mono,))
-                coeffs[gi, index[mono]] = coeff % p
-        return cls.from_dense(r, j, bounds, coeffs, p)
+                    raise ValueError("generator monomial %r has degree != %d" % (tuple(mono), j))
+            terms.append({tuple(mono): coeff % p for mono, coeff in g.items() if coeff % p})
+        if bounds is not None:
+            runs = [(tuple(bounds), terms)]
+        else:
+            runs = []
+            for g in terms:
+                box = tuple(max((mono[k] for mono in g), default=0) for k in range(r))
+                if runs and runs[-1][0] == box:
+                    runs[-1][1].append(g)
+                else:
+                    runs.append((box, [g]))
+            runs = runs or [((0,) * r, [])]
+        blocks = []
+        for box, gens in runs:
+            check_cells(r, j, j, ((box, len(gens)),))  # s x support
+            index = {m: i for i, m in enumerate(enumerate_constrained(r, j, box))}
+            coeffs = np.zeros((len(gens), len(index)), dtype=np.int64)
+            for gi, g in enumerate(gens):
+                for mono, coeff in g.items():
+                    if mono not in index:
+                        raise ValueError("monomial %r outside the support box" % (mono,))
+                    coeffs[gi, index[mono]] = coeff
+            blocks.append(GeneratorBlock(r, j, box, coeffs))
+        return cls(r, j, tuple(blocks), p)
 
     def to_json(self):
         gens = []
@@ -164,15 +178,22 @@ def check_cells(r, j, d, crops):
     The shape is counted, not enumerated: rows exactly, columns as the
     smaller of the blocks' total and the count of the least box holding
     every crop box, which is exact for one block and for nested boxes.
+    A block's support, row and column lists, and the column union, are
+    enumerated as tuples, so each is also refused over MAX_MONOMIALS.
     """
-    rows = sum(max(s, 1) * count_constrained(r, j - d, box, j) for box, s in crops)
-    total = sum(count_constrained(r, d, box, j) for box, _ in crops)
+    counts = [[count_constrained(r, e, box, j) for e in (j, j - d, d)] for box, _ in crops]
+    rows = sum(max(s, 1) * c[1] for (_, s), c in zip(crops, counts))
+    total = sum(c[2] for c in counts)
     padded = [tuple(box) + (j,) * (r - len(box)) for box, _ in crops]
     hull = tuple(max(col) for col in zip(*padded))
     cols = min(total, count_constrained(r, d, hull, j))
     if rows * cols > MAX_CELLS:
         raise ValueError("the degree-%d derivative matrix would be %d x %d, over the limit "
                          "of %d entries" % (d, rows, cols, MAX_CELLS))
+    longest = max([cols] + [max(c) for c in counts])
+    if longest > MAX_MONOMIALS:
+        raise ValueError("the degree-%d derivative matrix would enumerate %d monomials in one "
+                         "list, over the limit of %d" % (d, longest, MAX_MONOMIALS))
     return rows, cols
 
 
@@ -250,14 +271,18 @@ def derivative_template(r, j, block_bounds, d, p, cropped=True):
     if (j + 1) ** r >= 2 ** 63:
         raise ValueError("monomial codes overflow int64 for r=%d, j=%d" % (r, j))
     fact = [factorial(k) % p for k in range(j + 1)]
-    invfact = [pow(f, -1, p) for f in fact]
+    invfact = np.array([pow(f, -1, p) for f in fact], dtype=np.int64)
+    fact = np.array(fact, dtype=np.int64)
     weights = -(j + 1) ** np.arange(r - 1, -1, -1, dtype=np.int64)
 
     def key(monos):
         return np.array(monos, dtype=np.int64).reshape(len(monos), r) @ weights
 
     def prod_mod(tab, monos):
-        return np.array([prod(tab[x] for x in m) % p for m in monos], dtype=np.int64)
+        out = np.ones(len(monos), dtype=np.int64)
+        for exps in np.array(monos, dtype=np.intp).reshape(len(monos), r).T:
+            out = out * tab[exps] % p
+        return out
 
     boxes = [bounds if cropped else () for bounds in block_bounds]
     block_cols = [enumerate_constrained(r, d, box) for box in boxes]

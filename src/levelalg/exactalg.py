@@ -11,13 +11,15 @@ eliminate them:
   which `check_prime` enforces.  `det` and the ranks of matrices
   whose shorter side is at most PANEL rows use it, and it is the oracle the
   tests hold the blocked kernel to.
-- `_rank_blocked` eliminates PANEL columns at a time in float64 and updates
-  the rest of the matrix with one BLAS matmul per panel (the right-looking
-  blocked elimination of FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS
-  2008).  A float64 dot product of PANEL residue products is an exact
-  integer only below 2^53, so `rank` uses it for p <= FLOAT_PRIME_LIMIT and
-  a shorter side over PANEL.  A matrix with fewer rows is one panel, which
-  blocking would only slow down.
+- `_rank_blocked` eliminates PANEL columns at a time in float64, each
+  panel left-looking with two matrix-vector products per column, and
+  updates the rest of the matrix with one BLAS matmul per panel (the
+  blocked elimination with delayed modular reduction of FFLAS-FFPACK,
+  Dumas, Giorgi and Pernet, ACM TOMS 2008).  A float64 dot product of PANEL
+  residue products is an exact integer only below 2^53, so `rank` uses it
+  for p <= FLOAT_PRIME_LIMIT and a shorter side over PANEL; the rest of the
+  matrix is reduced only when its next update could pass 2^53.  A matrix
+  with fewer rows is one panel, which blocking would only slow down.
 
 `json_int` is the integer check that every JSON parser applies to its numbers.
 """
@@ -151,87 +153,81 @@ def _reduce(x, p):
     x[...] = t
 
 
-def _unit_lower_inverse(n, p):
-    """(I - n)^-1 mod p for a strictly lower triangular n of residues.
-
-    n is nilpotent, so the inverse is I + n + n^2 + ..., built as the product
-    (I + n)(I + n^2)(I + n^4)... with two matmuls per doubling.
-    """
-    x = n + np.eye(len(n))
-    power, terms = n, 2
-    while terms < len(n):
-        power = power @ power
-        _reduce(power, p)
-        x += x @ power
-        _reduce(x, p)
-        terms *= 2
-    return x
-
-
 def _rank_blocked(a, p):
     """Rank of a float64 matrix of residues mod p <= FLOAT_PRIME_LIMIT, eliminated in place.
 
     Each step copies the next PANEL columns out as a contiguous panel and
-    eliminates it column by column, keeping the multipliers of each pivot
-    column (L) and the pivot rows scaled to a unit pivot.  Row swaps move
-    the whole row of the panel and of the trailing columns.  The panel's k
-    pivot rows give the trailing pivot rows V12 = L11^-1 A12, and the rest
-    of the matrix is updated as A22 - L21 V12 by one matmul per chunk of
-    rows.  Panel entries are reduced only when their column is reached, so
-    each has taken fewer than PANEL unreduced rank-1 updates, and every
-    matmul sums at most PANEL products: all values stay below
-    PANEL * (p - 1)^2 + p.
+    eliminates it left-looking: a column is brought up to date only when it
+    is reached, by two matrix-vector products with the multipliers L of the
+    panel's t earlier pivots, y = L11^-1 v[:t] for its pivot-row entries and
+    v[t:] - L21 y for the rest.  L is unit lower, so L11^-1 grows by the row
+    -l L11^-1 per pivot, l being the new pivot row's multipliers.  Row swaps
+    move the whole row of the panel, of L and of the trailing columns.  The
+    panel's t pivot rows give the trailing pivot rows U12 = L11^-1 A12, and
+    the rest of the matrix is updated as A22 - L21 U12 by one matmul per
+    chunk of rows.
+
+    Every product sums at most PANEL products of residues, so its operands
+    are reduced first: the panel when it is copied out, the pivot rows
+    before the solve.  The trailing block is not: each update adds at most
+    t (p - 1)^2 to a bound on its magnitude, and it is reduced only before
+    an update that could take that bound to 2^53, where float64 integers
+    stop being exact.  With p = 32749 that never happens; near
+    FLOAT_PRIME_LIMIT it happens before every update.
     """
     m, n = a.shape
-    r = 0
+    r, bound, step = 0, p - 1, (p - 1) ** 2
     for c0 in range(0, n, PANEL):
         if r == m:
             break
         c1 = min(c0 + PANEL, n)
         r0 = r
         panel = a[r0:, c0:c1].T.copy()  # one contiguous row per column
-        piv, invs = [], []
-        for c in range(c1 - c0):
+        _reduce(panel, p)
+        low = np.zeros(panel.shape)  # row t: the multipliers of pivot t
+        inv = np.zeros((c1 - c0, c1 - c0))  # L11^-1
+        t = 0
+        for v in panel:
             if r == m:
                 break
-            i = r - r0
-            col = panel[c, i:]
-            _reduce(col, p)
-            nz = np.flatnonzero(col)
+            if t:
+                y = inv[:t, :t] @ v[:t]
+                _reduce(y, p)
+                v[t:] -= y @ low[:t, t:]
+            w = v[t:].astype(np.int64)  # the column below the pivot rows, reduced
+            np.remainder(w, p, out=w)
+            nz = w.nonzero()[0]
             if nz.size == 0:
                 continue
             if nz[0]:
-                s = i + int(nz[0])
-                panel[:, [i, s]] = panel[:, [s, i]]
+                s = t + int(nz[0])
+                w[[0, s - t]] = w[[s - t, 0]]
+                panel[:, [t, s]] = panel[:, [s, t]]
+                low[:t, [t, s]] = low[:t, [s, t]]
                 a[[r, r0 + s], c1:] = a[[r0 + s, r], c1:]
-            inv = pow(int(col[0]), -1, p)
-            u = panel[c + 1:, i]
-            _reduce(u, p)
-            u *= inv
-            _reduce(u, p)
-            panel[c + 1:, i + 1:] -= np.multiply.outer(u, col[1:])
-            piv.append(c)
-            invs.append(inv)
+            mult = w[1:]
+            mult *= pow(int(w[0]), -1, p)
+            low[t, t + 1:] = np.remainder(mult, p, out=mult)
+            row = -(low[:t, t] @ inv[:t, :t])
+            _reduce(row, p)
+            inv[t, :t] = row
+            inv[t, t] = 1
+            t += 1
             r += 1
-        k = r - r0
-        if k == 0 or c1 == n or r == m:
+        if t == 0 or c1 == n or r == m:
             continue
-        # L11 = L~ D with L~ unit lower and D the pivots, so L11^-1 = D^-1 L~^-1.
-        lower = panel[piv]
-        inv_d = np.array(invs, dtype=np.float64)
-        unit = lower[:, :k].T * inv_d
-        _reduce(unit, p)
-        neg = np.tril(p - unit, -1)
-        _reduce(neg, p)
-        solve = _unit_lower_inverse(neg, p) * inv_d[:, None]
-        _reduce(solve, p)
-        v12 = solve @ a[r0:r, c1:]
-        _reduce(v12, p)
-        l21 = lower[:, k:].T.copy()
+        a12 = a[r0:r, c1:]
+        _reduce(a12, p)
+        u12 = inv[:t, :t] @ a12
+        _reduce(u12, p)
+        l21 = low[:t, t:].T
+        stale = bound + t * step >= 2 ** 53
+        bound = (p - 1 if stale else bound) + t * step
         for s in range(r, m, _CHUNK_ROWS):
             block = a[s:s + _CHUNK_ROWS, c1:]
-            block -= l21[s - r:s - r + _CHUNK_ROWS] @ v12
-            _reduce(block, p)
+            if stale:
+                _reduce(block, p)
+            block -= l21[s - r:s - r + _CHUNK_ROWS] @ u12
     return r
 
 

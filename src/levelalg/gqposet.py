@@ -18,12 +18,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import numpy as np
 
 TOPSET_GUARD = 1 << 20
 MAX_WEIGHT = 10  # largest weight in random_order_preserving
+_CHECK_CELLS = 1 << 20  # topset matrix cells per product in _check
 
 
 class TopsetGuardExceeded(Exception):
@@ -177,21 +178,37 @@ def check_tpp(poset, phi):
     phi.validated(poset)
     if phi.total(poset) < 0:
         raise ValueError("TPP requires a nonnegative total sum")
-    return _check(poset, phi, lambda s, size: s >= 0)
+    return _check(poset, phi, lambda s, size, total, n: s >= 0)
 
 
 def check_tap(poset, phi):
     """Is every nonempty topset's average at least the global average?"""
     phi.validated(poset)
-    mean = phi.total(poset) / len(poset)
-    return _check(poset, phi, lambda s, size: size == 0 or s >= mean * size)
+    return _check(poset, phi, lambda s, size, total, n: n * s >= total * size)
 
 
 def _check(poset, phi, ok):
-    for row in topset_matrix(poset):
-        t = _members(poset, row)
-        if not ok(sum(phi.values[e] for e in t.members), len(t.members)):
-            return CheckResult(False, t)
+    """Test ok(s, size, total, n) on every topset; the first failure in mask order is the witness.
+
+    phi is scaled by the lcm of its denominators to integers w, so each
+    topset's scaled sum s is an exact integer product of its row of the
+    topset matrix with w; total is the sum of w and n the number of
+    elements.  The products are in int64 when n times the sum of |w| fits,
+    else in Python integers, and take _CHECK_CELLS matrix cells at a time.
+    """
+    values = [phi.values[e] for e in poset.elements]
+    scale = lcm(*(v.denominator for v in values))
+    w = [v.numerator * (scale // v.denominator) for v in values]
+    n, total = len(w), sum(w)
+    exact = np.int64 if n * sum(map(abs, w)) < 2 ** 63 else object
+    w = np.array(w, dtype=exact)
+    tops = topset_matrix(poset)
+    step = max(1, _CHECK_CELLS // n)
+    for lo in range(0, len(tops), step):
+        rows = tops[lo:lo + step].astype(exact)
+        bad = np.flatnonzero(~ok(rows @ w, rows.sum(axis=1), total, n))
+        if bad.size:
+            return CheckResult(False, _members(poset, tops[lo + bad[0]]))
     return CheckResult(True, None)
 
 

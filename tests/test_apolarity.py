@@ -55,6 +55,26 @@ def random_blocks(seed, p=P):
     return HomogeneousSubspace(r, j, tuple(blocks), p)
 
 
+@st.composite
+def sparse_generators(draw):
+    """(r, j, generators) with r <= 4, j <= 7 and up to 6 sparse generators.
+
+    A generator may repeat the previous one's monomials, so runs of equal
+    boxes occur; it may be empty, or have a coefficient that is 0 mod p.
+    """
+    r, j = draw(st.integers(1, 4)), draw(st.integers(0, 7))
+    monos = enumerate_constrained(r, j)
+    gens = []
+    for _ in range(draw(st.integers(0, 6))):
+        if gens and draw(st.booleans()):
+            keys = list(gens[-1])
+        else:
+            keys = draw(st.lists(st.sampled_from(monos), max_size=4, unique=True))
+        gens.append({m: draw(st.sampled_from([0, 1, -1, P]) | st.integers(0, P - 1))
+                     for m in keys})
+    return r, j, gens
+
+
 def oracle_matrix(w, d):
     """The stacked cropped matrix of w at degree d, from apply_derivative.
 
@@ -138,6 +158,41 @@ class TestSubspace:
         assert back.to_json() == w.to_json()
         assert [hilbert_value(back, d) for d in range(5)] == \
             [hilbert_value(w, d) for d in range(5)]
+
+    def test_generator_runs_get_their_own_boxes(self):
+        gens = [{(3, 3, 0): 1}, {(3, 3, 0): 2}, {(2, 4, 0): 2, (3, 3, 0): 0},
+                {(2, 4, 0): 1, (3, 3, 0): 4}, {(3, 3, 0): 5}, {(0, 0, 6): P}]
+        w = HomogeneousSubspace.from_sparse(3, 6, gens)
+        # a term that is 0 mod p is dropped, so it widens no box
+        assert [(b.bounds, b.n_generators) for b in w.blocks] == \
+            [((3, 3, 0), 2), ((2, 4, 0), 1), ((3, 4, 0), 1), ((3, 3, 0), 1), ((0, 0, 0), 1)]
+        one = HomogeneousSubspace.from_sparse(3, 6, gens, bounds=(3, 4, 6))
+        assert len(one.blocks) == 1 and one.blocks[0].n_generators == 6
+        assert hilbert_vector(w) == hilbert_vector(one)
+
+    @given(gens=sparse_generators())
+    @settings(max_examples=60, deadline=None)
+    def test_split_matches_the_hull_box(self, gens):
+        # The single block over the hull box is the oracle for the split.
+        r, j, generators = gens
+        hull = tuple(max((m[k] for g in generators for m in g), default=0) for k in range(r))
+        w = HomogeneousSubspace.from_sparse(r, j, generators)
+        one = HomogeneousSubspace.from_sparse(r, j, generators, bounds=hull)
+        assert len(one.blocks) == 1
+        assert hilbert_vector(w) == hilbert_vector(one)
+        # to_json keeps the generators in order, with their nonzero terms
+        out = w.to_json()
+        assert [{tuple(t["monomial"]): t["coeff"] for t in g} for g in out["generators"]] == \
+            [{m: c % P for m, c in g.items() if c % P} for g in generators]
+        back = HomogeneousSubspace.from_json(out)
+        assert back.to_json() == out
+        assert [b.bounds for b in back.blocks] == [b.bounds for b in w.blocks]
+
+    @pytest.mark.parametrize("generators", [[], [{}], [{}, {}], [{(4, 0, 0): P}]])
+    def test_no_nonzero_term_gives_zero_h(self, generators):
+        w = HomogeneousSubspace.from_sparse(3, 4, generators)
+        assert hilbert_vector(w).values == (0,) * 5
+        assert HomogeneousSubspace.from_json(w.to_json()).to_json() == w.to_json()
 
     def test_prime_must_exceed_degree(self):
         with pytest.raises(ValueError):
@@ -323,6 +378,17 @@ class TestSizeGuard:
             apolarity.check_cells(prm.r, prm.j, d, crops)
         monkeypatch.setattr(apolarity, "MAX_CELLS", 2476 * 1891 - 1)
         with pytest.raises(ValueError, match="degree-60 derivative matrix would be 2476 x 1891"):
+            apolarity.check_cells(prm.r, prm.j, 60, crops)
+
+    def test_monomial_lists_are_bounded(self, monkeypatch):
+        # F1 (30, 60) enumerates the longest lists admitted: its unbounded
+        # support of C(92, 2) = 4186 degree-90 monomials
+        prm = families.require_valid("F1", a=30, i=60, s=4)
+        crops = ((prm.p_bounds, prm.s), (prm.q_bounds, prm.u))
+        for d in range(prm.j + 1):
+            apolarity.check_cells(prm.r, prm.j, d, crops)
+        monkeypatch.setattr(apolarity, "MAX_MONOMIALS", 4185)
+        with pytest.raises(ValueError, match="enumerate 4186 monomials in one list"):
             apolarity.check_cells(prm.r, prm.j, 60, crops)
 
     def test_refused_before_enumeration(self):

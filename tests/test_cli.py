@@ -149,10 +149,15 @@ class TestOtherCommands:
                     % ",".join(["30"] * 12)],
         # a 227251 x 180901 derivative matrix at degree 600
         ["family", "verify", '{"family":"F1","a":300,"i":600,"s":4}'],
+        # C(31, 7) = 2629575 support monomials: 1 x 2629575 cells pass 2^24,
+        # the list of monomials does not pass 2^18
+        ["hilbert", '{"r":8,"j":24,"generators":[[{"monomial":[24%s],"coeff":1}]],'
+                    '"constraint":{"bounds":[%s]}}' % (",0" * 7, ",".join(["24"] * 8))],
     ], ids=["no-sizes", "short-cell", "list-variable", "long-sizes", "float-lam",
             "bool-lam", "lmatrix-negative-q", "tpp-negative-q", "topsets-negative-q",
             "negative-trials", "topsets-huge-q", "lmatrix-huge-q", "lmatrix-short-sizes-big-q",
-            "hilbert-huge-support", "hilbert-empty-huge-support", "family-huge-matrix"])
+            "hilbert-huge-support", "hilbert-empty-huge-support", "family-huge-matrix",
+            "hilbert-long-support-list"])
     def test_hostile_input_exits_1(self, capsys, argv):
         # refused before any work that grows with the input: well under 1 s
         t0 = time.monotonic()

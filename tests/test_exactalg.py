@@ -242,6 +242,36 @@ class TestRank:
         if p <= exactalg.FLOAT_PRIME_LIMIT:
             assert blocked_rank(m, p) == blocked_rank(m.T, p) == want
 
+    @pytest.mark.parametrize("p, rows, cols, k", [
+        (5300003, 65, 1000, 40), (5300003, 65, 1030, 65), (5300003, 200, 1000, 150),
+        (5300003, 400, 1000, 321), (5300003, 420, 1070, 380), (LAST_FLOAT_PRIME, 420, 1000, 400)])
+    def test_delayed_reduction(self, p, rows, cols, k):
+        # At p = 5300003 the trailing block takes exactly five 64-pivot
+        # updates before its bound could pass 2^53, so a rank over 320 on
+        # 1000 columns (16 panels) forces a reduction partway through; past
+        # five updates some value the kernel reduces must exceed what one
+        # update leaves, or nothing was delayed.  At the last float prime
+        # the bound admits one update, and 400 pivots' worth of typical
+        # products would pass 2^53 unreduced.  No reduced value may reach it.
+        step = (p - 1) ** 2
+        fits = (2 ** 53 - p) // (exactalg.PANEL * step)
+        assert fits == (5 if p == 5300003 else 1)
+        b = exactalg.sample((rows, k), k, "delayed-b", p)
+        m = b @ exactalg.sample((k, cols), k, "delayed-c", p) % p  # exact: k (p - 1)^2 < 2^63
+        reduce, seen = exactalg._reduce, []
+
+        def spy(x, q):
+            seen.append(float(np.abs(x).max(initial=0)))
+            return reduce(x, q)
+
+        with mock.patch.object(exactalg, "_reduce", side_effect=spy):
+            assert blocked_rank(m, p) == oracle_rank(m, p) == k
+        assert max(seen) < 2 ** 53
+        if fits == 1:
+            assert max(seen) <= exactalg.PANEL * step + p
+        elif k > fits * exactalg.PANEL:
+            assert max(seen) > exactalg.PANEL * step + p
+
     def test_large_prime_exact_or_refused(self):
         m = exactalg.sample((6, 6), 1, "big-prime", exactalg.MAX_PRIME)
         m[5] = (m[0] + m[1]) % exactalg.MAX_PRIME

@@ -1,14 +1,16 @@
 """The bounded-exponent poset, topset enumeration, and TPP/TAP checks."""
 
+import random
 import time
 from fractions import Fraction
 from itertools import chain, combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levelalg import cli, exactalg
+from levelalg import cli, exactalg, gqposet
 from levelalg.gqposet import (MAX_WEIGHT, FinitePoset, GQPoset, OrderPreservingFn,
                               TopsetGuardExceeded, check_tap, check_tpp,
                               dominates, enumerate_topsets,
@@ -25,6 +27,17 @@ def brute_topsets(poset):
         if all(x in sub for e in sub for x in els if dominates(x, e)):
             out.append(sub)
     return out
+
+
+def loop_check(poset, phi, tap):
+    """The first topset in mask order failing TPP or TAP, by Fraction sums (oracle)."""
+    mean = phi.total(poset) / len(poset)
+    for row in topset_matrix(poset):
+        members = [e for e, x in zip(poset.elements, row) if x]
+        s = sum((phi(e) for e in members), Fraction(0))
+        if s < mean * len(members) if tap else s < 0:
+            return frozenset(members)
+    return None
 
 
 class TestPosetStructure:
@@ -176,3 +189,24 @@ class TestTppTap:
         res = check_tpp(p, phi)
         assert not res.passed
         assert res.witness.members == {"a"}
+
+    @given(n=st.integers(1, 7), seed=st.integers(0, 10 ** 6), big=st.booleans(),
+           cells=st.sampled_from([1, 5, gqposet._CHECK_CELLS]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_sums(self, n, seed, big, cells):
+        # Any DAG of covers, so witnesses exist; rational values, some large
+        # enough to leave int64; a few topset rows per product or all of them.
+        rng = random.Random(seed)
+        covers = [rng.sample(range(i), rng.randint(0, min(i, 2))) for i in range(n)]
+        vals = []
+        for cov in covers:
+            raw = Fraction(rng.randint(-9, 9) * (2 ** 62 if big else 1), rng.choice([1, 2, 3, 6]))
+            vals.append(min([raw] + [vals[c] for c in cov]))
+        shift = min(sum(vals), 0) / n
+        poset = FinitePoset(range(n), covers)
+        phi = OrderPreservingFn({e: v - shift for e, v in enumerate(vals)})
+        with mock.patch.object(gqposet, "_CHECK_CELLS", cells):
+            for check, tap in ((check_tpp, False), (check_tap, True)):
+                got, want = check(poset, phi), loop_check(poset, phi, tap)
+                assert got.passed == (want is None)
+                assert (got.witness and got.witness.members) == want
