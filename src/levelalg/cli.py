@@ -87,9 +87,14 @@ def _sizes(obj, key, n):
 
 
 def emit_report(report, fmt="json"):
-    """Serialize a report dict: canonical json, flat csv, or pretty text."""
+    """Serialize a report dict: canonical json, flat csv, or pretty text.
+
+    Reports are trees the program builds, never cyclic, so the json encoder
+    skips its cycle check; shared sublists are written out in full as usual.
+    """
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, separators=(",", ":"))
+        return json.dumps(report, sort_keys=True, separators=(",", ":"),
+                          check_circular=False)
     if fmt == "csv":
         lines = []
         if "h" in report and isinstance(report["h"], list):
@@ -213,9 +218,10 @@ def _cmd_poset(args, p):
     report = _base_report("poset " + args.action, p, args.seed)
     report["q"] = list(q)
     if args.action == "topsets":
-        tops = enumerate_topsets(poset)
+        # each element is one list, shared by every topset that holds it
+        tops = enumerate_topsets(poset, [list(e) for e in poset.elements])
         report["count"] = len(tops)
-        report["topsets"] = [t.to_json() for t in tops]
+        report["topsets"] = tops
         return report, 0
     rng = exactalg.stream(args.seed, "cli-tpp")
     ok = True

@@ -11,6 +11,12 @@ nonempty topset's average is at least the global average.  Both hold on every
 G_Q; the checks are exhaustive over the enumerated topsets and report a
 violating witness when one exists (which requires a poset that is not a
 product of chains, e.g. an antichain).
+
+The topsets of a poset are generated once, as one boolean matrix with a
+row per topset in bitmask order (topset_matrix).  Everything else reads
+that matrix: enumerate_topsets lists members straight off its rows, and the
+TPP/TAP checks and lmatrix.gq3_criterion take one exact integer product of
+it with a weight vector (topset_sums).
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ import numpy as np
 
 TOPSET_GUARD = 1 << 20
 MAX_WEIGHT = 10  # largest weight in random_order_preserving
-_CHECK_CELLS = 1 << 20  # topset matrix cells per product in _check
+_CHECK_CELLS = 1 << 20  # topset matrix cells per product in topset_sums
+MAX_LISTED = 1 << 24  # members over all the lists of enumerate_topsets
 
 
 class TopsetGuardExceeded(Exception):
@@ -36,7 +43,7 @@ class FinitePoset:
 
     covers[i] holds the indexes of the elements that cover elements[i] from
     above, all smaller than i: the element list is a linear extension with
-    dominators first.
+    dominators first.  The topset matrix is generated on first use and kept.
     """
 
     def __init__(self, elements, covers):
@@ -47,13 +54,22 @@ class FinitePoset:
     def __len__(self):
         return len(self.elements)
 
-    def _topset_masks(self):
-        """All upward-closed subsets as sorted bitmasks, bit i for elements[i].
+    def _topset_rows(self):
+        """The topset matrix (see topset_matrix), generated on the first call.
 
-        Elements join in list order, each once all its upper covers are in.
-        The guard bounds the cells of topset_matrix, counting at least 64 per
-        mask.  A poset of n elements has at least n + 1 topsets, the prefixes
-        of its element list, so a long one is refused before enumerating.
+        Elements join in list order: at elements[pos], each row built so far
+        whose covers[pos] columns are all set gets a copy with column pos
+        set, so the rows are exactly the sets holding the upper covers of
+        each member.  A row's highest set column is the step that made it.
+        So only rows made since the step of the last cover can hold every
+        cover, and appending keeps the rows in mask order: each new row is
+        an old one plus a bit above all of theirs.
+
+        The rows live in a bool buffer whose capacity doubles.  The guard
+        bounds its cells, counting at least 64 columns per row: growth that
+        would pass `limit` rows is refused, so the capacity never exceeds
+        `limit`.  A poset of n elements has at least n + 1 topsets, the
+        prefixes of its element list, so a long one is refused up front.
         """
         if self._topsets is not None:
             return self._topsets
@@ -62,22 +78,25 @@ class FinitePoset:
         guard = TopsetGuardExceeded("more than %d topsets of %d elements" % (limit, n))
         if n + 1 > limit:
             raise guard
-        cover_masks = [sum(1 << j for j in c) for c in self.covers]
-        out = []
-        stack = [(0, 0)]
-        while stack:
-            pos, mask = stack.pop()
-            if pos == n:
-                out.append(mask)
-                if len(out) > limit:
-                    raise guard
-                continue
-            stack.append((pos + 1, mask))
-            if mask & cover_masks[pos] == cover_masks[pos]:
-                stack.append((pos + 1, mask | (1 << pos)))
-        out.sort()
-        self._topsets = out
-        return out
+        buf = np.zeros((min(64, limit), n), dtype=bool)
+        count, starts = 1, []
+        for pos, cov in enumerate(self.covers):
+            starts.append(count)
+            rows = buf[starts[max(cov)] if cov else 0:count]
+            new = rows[rows[:, list(cov)].all(axis=1)]
+            end = count + len(new)
+            if end > limit:
+                raise guard
+            if end > len(buf):
+                grown = np.empty((min(max(2 * len(buf), end), limit), n), dtype=bool)
+                grown[:count] = buf[:count]
+                buf = grown
+            buf[count:end] = new
+            buf[count:end, pos] = True
+            count = end
+        self._topsets = buf[:count]
+        self._topsets.flags.writeable = False
+        return self._topsets
 
 
 class GQPoset(FinitePoset):
@@ -122,13 +141,24 @@ class ElementSet:
         return sorted(list(m) for m in self.members)
 
 
-def enumerate_topsets(poset):
-    """All upward-closed subsets except the empty and the full set."""
-    return [_members(poset, row) for row in topset_matrix(poset)[1:-1]]
+def enumerate_topsets(poset, labels=None):
+    """The members of every upward-closed subset except the empty and the full set.
 
-
-def _members(poset, row):
-    return ElementSet(itertools.compress(poset.elements, row.tolist()))
+    One list per topset, in mask order, read straight off topset_matrix:
+    labels[i] (by default elements[i]) stands for elements[i], listed in
+    element order and shared between lists.  Refused when the lists would
+    hold more than MAX_LISTED members, before any is built.
+    """
+    rows = topset_matrix(poset)[1:-1]
+    listed = int(np.count_nonzero(rows))
+    if listed > MAX_LISTED:
+        raise TopsetGuardExceeded("%d topsets list %d members, more than %d"
+                                  % (len(rows), listed, MAX_LISTED))
+    which, cols = np.nonzero(rows)
+    labels = poset.elements if labels is None else labels
+    members = list(map(labels.__getitem__, cols.tolist()))
+    ends = np.searchsorted(which, np.arange(1, len(rows) + 1)).tolist()
+    return [members[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 @dataclass(frozen=True)
@@ -191,38 +221,47 @@ def _check(poset, phi, ok):
     """Test ok(s, size, total, n) on every topset; the first failure in mask order is the witness.
 
     phi is scaled by the lcm of its denominators to integers w, so each
-    topset's scaled sum s is an exact integer product of its row of the
-    topset matrix with w; total is the sum of w and n the number of
-    elements.  The products are in int64 when n times the sum of |w| fits,
-    else in Python integers, and take _CHECK_CELLS matrix cells at a time.
+    topset's scaled sum s is its entry of topset_sums(poset, w); total is
+    the sum of w and n the number of elements.
     """
     values = [phi.values[e] for e in poset.elements]
     scale = lcm(*(v.denominator for v in values))
     w = [v.numerator * (scale // v.denominator) for v in values]
-    n, total = len(w), sum(w)
-    exact = np.int64 if n * sum(map(abs, w)) < 2 ** 63 else object
-    w = np.array(w, dtype=exact)
+    sums = topset_sums(poset, w)
     tops = topset_matrix(poset)
-    step = max(1, _CHECK_CELLS // n)
-    for lo in range(0, len(tops), step):
-        rows = tops[lo:lo + step].astype(exact)
-        bad = np.flatnonzero(~ok(rows @ w, rows.sum(axis=1), total, n))
-        if bad.size:
-            return CheckResult(False, _members(poset, tops[lo + bad[0]]))
+    bad = np.flatnonzero(~ok(sums, tops.sum(axis=1).astype(sums.dtype), sum(w), len(w)))
+    if bad.size:
+        row = tops[bad[0]].tolist()
+        return CheckResult(False, ElementSet(itertools.compress(poset.elements, row)))
     return CheckResult(True, None)
 
 
-def topset_matrix(poset):
-    """Boolean topset/element incidence matrix, one row per topset.
+def topset_sums(poset, w):
+    """The exact sum of the integer weights w over every topset, in mask order.
 
-    Rows follow the sorted bitmasks, so the empty set comes first and the
-    full set last.
+    One product of topset_matrix with w, in int64 when len(w) times the
+    sum of |w| fits, else in Python integers, _CHECK_CELLS matrix cells at
+    a time.
     """
-    masks = poset._topset_masks()
-    width = (len(poset) + 7) // 8
-    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks),
-                           dtype=np.uint8).reshape(len(masks), width)
-    return np.unpackbits(packed, axis=1, count=len(poset), bitorder="little").view(bool)
+    n = len(w)
+    exact = np.int64 if n * sum(map(abs, w)) < 2 ** 63 else object
+    w = np.array(w, dtype=exact)
+    tops = topset_matrix(poset)
+    step = max(1, _CHECK_CELLS // max(n, 1))
+    return np.concatenate([tops[lo:lo + step].astype(exact) @ w
+                           for lo in range(0, len(tops), step)])
+
+
+def topset_matrix(poset):
+    """Boolean topset/element incidence matrix, one row per topset, read-only.
+
+    Rows are in the order of their bitmasks, bit i for elements[i], so the
+    empty set comes first and the full set last.  Generated once per poset,
+    element by element (FinitePoset._topset_rows); TopsetGuardExceeded when
+    the rows times max(64, elements) would pass 64 * TOPSET_GUARD cells,
+    raised before the buffer grows past that.
+    """
+    return poset._topset_rows()
 
 
 def random_order_preserving(poset, rng):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exactalg
-from .gqposet import GQPoset, dominates, enumerate_topsets
+from .gqposet import GQPoset, dominates, topset_matrix, topset_sums
 
 EXACT_DET_LIMIT = 7
 DET_TRIALS = 3  # evaluation points of the randomized determinant test
@@ -176,29 +176,20 @@ def gq3_criterion(structure, condition="topsets"):
     if not structure.is_square:
         raise ValueError("criterion requires a square structure")
     poset = structure.poset
-    elements = set(poset.elements)
-    tops = [t.members for t in enumerate_topsets(poset)]
-    if condition == "topsets":
-        families, sign = tops, 1
-    elif condition == "topsets_no_bottom":
-        families = [t for t in tops if poset.bottom not in t]
-        families.append(frozenset(elements - {poset.bottom}))
-        families = [f for f in families if f]
-        sign = 1
-    elif condition == "bottomsets":
-        families = [frozenset(elements - t) for t in tops]
-        sign = -1
-    elif condition == "bottomsets_no_top":
-        bots = [frozenset(elements - t) for t in tops if poset.top not in elements - t]
-        bots.append(frozenset(elements - {poset.top}))
-        families = [f for f in bots if f]
-        sign = -1
-    else:
+    tops = topset_matrix(poset)
+    sums = topset_sums(poset, [structure.excess(e) for e in poset.elements])
+    # Every topset's excess sum, the empty and the full set's being 0 on a
+    # square structure.  The topsets of G_Q minus Q are the rows without Q,
+    # the last element.  A bottomset's sum is the total minus its complement
+    # topset's, and the bottomsets of G_Q minus 0 are the complements of the
+    # rows with 0, the first element.
+    rows = {"topsets": slice(None), "topsets_no_bottom": ~tops[:, -1],
+            "bottomsets": slice(None), "bottomsets_no_top": tops[:, 0]}
+    if condition not in rows:
         raise ValueError("unknown condition %r" % (condition,))
-    for fam in families:
-        if sign * sum(structure.excess(e) for e in fam) < 0:
-            return False
-    return True
+    if condition.startswith("bottomsets"):
+        sums = sums - sums[-1]
+    return bool((sums[rows[condition]] >= 0).all())
 
 
 def exact_det_polynomial(m):

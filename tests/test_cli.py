@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from levelalg.cli import main
+from levelalg.cli import emit_report, main
 
 G3 = '{"family":"G3","a":4,"b":4,"i":8,"s":7}'
 
@@ -102,7 +102,9 @@ class TestOtherCommands:
         rep = json.loads(out)
         # the empty and full topsets are excluded from the report
         assert rep["count"] == 4
-        assert len(rep["topsets"]) == 4
+        # in mask order (bit i for the i-th element), members in element order
+        assert rep["topsets"] == [[[0, 0]], [[0, 0], [0, 1]], [[0, 0], [1, 0]],
+                                  [[0, 0], [0, 1], [1, 0]]]
 
     def test_poset_tpp(self, capsys):
         code, out, _ = run(capsys, "poset", "tpp", "--q", "2,2",
@@ -139,6 +141,8 @@ class TestOtherCommands:
         ["poset", "topsets", "--q", "-1"],
         ["poset", "tpp", "--q", "1", "--trials", "-3"],
         ["poset", "topsets", "--q", "1048576"],
+        # 8192 topsets pass the cell guard, but would list 33542145 members
+        ["poset", "topsets", "--q", "8190"],
         ["lmatrix", "check", '{"entries":[],"q":[1024,1024],"row_sizes":[],"col_sizes":[]}'],
         ["lmatrix", "check", '{"entries":[],"q":[1023,1023],"row_sizes":[0],"col_sizes":[0]}'],
         # C(41, 11) = 3159461968 support monomials, counted and not enumerated
@@ -155,7 +159,7 @@ class TestOtherCommands:
                     '"constraint":{"bounds":[%s]}}' % (",0" * 7, ",".join(["24"] * 8))],
     ], ids=["no-sizes", "short-cell", "list-variable", "long-sizes", "float-lam",
             "bool-lam", "lmatrix-negative-q", "tpp-negative-q", "topsets-negative-q",
-            "negative-trials", "topsets-huge-q", "lmatrix-huge-q", "lmatrix-short-sizes-big-q",
+            "negative-trials", "topsets-huge-q", "topsets-long-report", "lmatrix-huge-q", "lmatrix-short-sizes-big-q",
             "hilbert-huge-support", "hilbert-empty-huge-support", "family-huge-matrix",
             "hilbert-long-support-list"])
     def test_hostile_input_exits_1(self, capsys, argv):
@@ -213,6 +217,15 @@ class TestPlumbing:
         _, out1, _ = run(capsys, "family", "verify", G3, "--seed", "3")
         _, out2, _ = run(capsys, "family", "verify", G3, "--seed", "3")
         assert out1 == out2
+
+    def test_canonical_json_with_shared_sublists(self):
+        # the same list object in many places, as in a `poset topsets` report
+        a, b = [0, 1], [2, "x"]
+        report = {"z": [[a, b], [a], [b, a]], "a": {"k": [a, a], "b": 1.5},
+                  "m": [[], None, True]}
+        want = json.dumps(report, sort_keys=True, separators=(",", ":"))
+        assert emit_report(report) == want
+        assert json.loads(want)["z"] == [[[0, 1], [2, "x"]], [[0, 1]], [[2, "x"], [0, 1]]]
 
     def test_malformed_json(self, capsys):
         code, _, err = run(capsys, "family", "validate", "{not json")

@@ -4,8 +4,10 @@ import random
 import time
 from fractions import Fraction
 from itertools import chain, combinations
+from math import comb, prod
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,39 @@ def brute_topsets(poset):
         if all(x in sub for e in sub for x in els if dominates(x, e)):
             out.append(sub)
     return out
+
+
+def dfs_topset_masks(poset):
+    """All upward-closed subsets as sorted big-int bitmasks, bit i for elements[i],
+    by depth-first search over the element list (oracle)."""
+    n = len(poset.elements)
+    cover_masks = [sum(1 << j for j in c) for c in poset.covers]
+    out = []
+    stack = [(0, 0)]
+    while stack:
+        pos, mask = stack.pop()
+        if pos == n:
+            out.append(mask)
+            continue
+        stack.append((pos + 1, mask))
+        if mask & cover_masks[pos] == cover_masks[pos]:
+            stack.append((pos + 1, mask | (1 << pos)))
+    return sorted(out)
+
+
+def random_dag_poset(rng, n):
+    """Elements 0..n-1, each covered by a random set of earlier ones."""
+    return FinitePoset(range(n), [rng.sample(range(i), rng.randint(0, min(i, 3)))
+                                  for i in range(n)])
+
+
+def macmahon(a, b, c):
+    """Plane partitions in an a x b x c box: the up-sets of a product of three chains."""
+    num = prod(i + j + k - 1 for i in range(1, a + 1) for j in range(1, b + 1)
+               for k in range(1, c + 1))
+    den = prod(i + j + k - 2 for i in range(1, a + 1) for j in range(1, b + 1)
+               for k in range(1, c + 1))
+    return num // den
 
 
 def loop_check(poset, phi, tap):
@@ -67,7 +102,8 @@ class TestTopsets:
         p = GQPoset(q)
         tops = enumerate_topsets(p)
         assert len(tops) == count - 2
-        assert {t.members for t in tops} == \
+        assert all(t == sorted(t) for t in tops)  # members in element order
+        assert {frozenset(t) for t in tops} == \
             set(brute_topsets(p)) - {frozenset(), frozenset(p.elements)}
 
     def test_matrix_agrees_with_enumeration(self):
@@ -78,8 +114,59 @@ class TestTopsets:
         # rows follow the sorted masks: the empty set first, the full set last
         assert not mat[0].any() and mat[-1].all()
         for row, t in zip(mat[1:-1], tops):
-            got = {p.elements[i] for i in range(len(p)) if row[i]}
-            assert got == t.members
+            assert t == [p.elements[i] for i in range(len(p)) if row[i]]
+
+    def test_labels_are_shared(self):
+        p = GQPoset((1, 1))
+        labels = [list(e) for e in p.elements]
+        tops = enumerate_topsets(p, labels)
+        assert tops == [[list(e) for e in t] for t in enumerate_topsets(p)]
+        assert all(m is labels[p.elements.index(tuple(m))] for t in tops for m in t)
+
+    @given(n=st.integers(0, 10), seed=st.integers(0, 10 ** 6))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dfs_oracle(self, n, seed):
+        # same rows in the same order as the sorted masks of the old search
+        poset = random_dag_poset(random.Random(seed), n)
+        mat = topset_matrix(poset)
+        masks = [sum(1 << i for i in np.flatnonzero(row).tolist()) for row in mat]
+        assert masks == dfs_topset_masks(poset)
+        assert mat.shape == (len(masks), n) and mat.dtype == bool
+        assert not mat.flags.writeable
+
+    @pytest.mark.parametrize("q", [(0, 0), (2, 3), (3, 3), (1, 4), (5, 2), (6, 6)])
+    def test_count_2d(self, q):
+        # monotone staircases in a (q1+1) x (q2+1) box
+        assert len(topset_matrix(GQPoset(q))) == comb(q[0] + q[1] + 2, q[0] + 1)
+
+    @pytest.mark.parametrize("q,count", [((3, 3, 3), 232848), ((1, 2, 3), 490),
+                                         ((2, 2, 2), 980), ((0, 1, 4), 21)])
+    def test_count_3d_macmahon(self, q, count):
+        assert macmahon(*(x + 1 for x in q)) == count
+        assert len(topset_matrix(GQPoset(q))) == count
+
+    @pytest.mark.parametrize("n,count", [(0, 2), (1, 3), (2, 6), (3, 20), (4, 168),
+                                         (5, 7581)])
+    def test_count_boolean_lattice_dedekind(self, n, count):
+        assert len(topset_matrix(GQPoset((1,) * n))) == count
+
+    def test_chain_prefix_triangle(self):
+        # a chain's topsets are its prefixes, in order of length
+        mat = topset_matrix(GQPoset((2000,)))
+        assert np.array_equal(mat, np.tri(2002, 2001, -1, dtype=bool))
+
+    def test_report_bound(self):
+        # (3,3,3) lists about 7.4 M members, under MAX_LISTED
+        listed = int(topset_matrix(GQPoset((3, 3, 3)))[1:-1].sum())
+        assert 7 * 10 ** 6 < listed <= gqposet.MAX_LISTED
+        p = GQPoset((2, 2))
+        listed = int(topset_matrix(p)[1:-1].sum())
+        with mock.patch.object(gqposet, "MAX_LISTED", listed):
+            assert len(enumerate_topsets(p)) == 18
+        with mock.patch.object(gqposet, "MAX_LISTED", listed - 1):
+            with pytest.raises(TopsetGuardExceeded, match="18 topsets list %d members, "
+                               "more than %d" % (listed, listed - 1)):
+                enumerate_topsets(p)
 
     def test_guard(self):
         # the Boolean lattice on 6 atoms has over 2^20 topsets
@@ -93,6 +180,19 @@ class TestTopsets:
             enumerate_topsets(GQPoset((1,) * 12))
         with pytest.raises(TopsetGuardExceeded, match="more than 671 topsets"):
             enumerate_topsets(GQPoset((100000,)))
+
+    def test_guard_during_growth(self):
+        # an antichain of 6 under one more element has 64 + 1 topsets: a
+        # limit of 65 rows admits them, the buffer growing from 64 rows to
+        # 65 and not to 128; a limit of 64 refuses them
+        def poset():
+            return FinitePoset(range(7), [()] * 6 + [range(6)])
+        with mock.patch.object(gqposet, "TOPSET_GUARD", 65):
+            mat = topset_matrix(poset())
+            assert len(mat) == 65 and len(mat.base) == 65
+        with mock.patch.object(gqposet, "TOPSET_GUARD", 64):
+            with pytest.raises(TopsetGuardExceeded, match="more than 64 topsets of 7"):
+                topset_matrix(poset())
 
     def test_guard_on_poset_size(self, capsys):
         start = time.perf_counter()

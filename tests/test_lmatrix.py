@@ -1,17 +1,56 @@
 """Symbolic PV/L-matrices, block patterns, and the nonsingularity criterion."""
 
+from itertools import chain, combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levelalg import exactalg
 from levelalg.gqposet import GQPoset, dominates
-from levelalg.lmatrix import (GQBlockStructure, SymbolicMatrix, classify,
+from levelalg.lmatrix import (GQ_SHAPES, GQBlockStructure, SymbolicMatrix, classify,
                               det_is_nonzero, exact_det_polynomial,
                               gq3_criterion, random_gq_structure,
                               random_l_matrix, verify_gq_pattern)
 
 
+CONDITIONS = ("topsets", "topsets_no_bottom", "bottomsets", "bottomsets_no_top")
+
+
 def M(grid):
     return SymbolicMatrix.from_json(grid)
+
+
+def brute_topsets(poset):
+    """Every up-set of G_Q as a frozenset, by checking each subset (tiny posets)."""
+    els = poset.elements
+    subsets = chain.from_iterable(combinations(els, k) for k in range(len(els) + 1))
+    return [frozenset(s) for s in subsets
+            if all(x in s for e in s for x in els if dominates(x, e))]
+
+
+def family_criterion(structure, condition="topsets"):
+    """gq3_criterion over explicit families of frozensets (oracle)."""
+    if not structure.is_square:
+        raise ValueError("criterion requires a square structure")
+    poset = structure.poset
+    elements = frozenset(poset.elements)
+    tops = [t for t in brute_topsets(poset) if t and t != elements]
+    if condition == "topsets":
+        families, sign = tops, 1
+    elif condition == "topsets_no_bottom":
+        families = [t for t in tops if poset.bottom not in t]
+        families.append(elements - {poset.bottom})
+        families, sign = [f for f in families if f], 1
+    elif condition == "bottomsets":
+        families, sign = [elements - t for t in tops], -1
+    elif condition == "bottomsets_no_top":
+        bots = [elements - t for t in tops if poset.top not in elements - t]
+        bots.append(elements - {poset.top})
+        families, sign = [f for f in bots if f], -1
+    else:
+        raise ValueError("unknown condition %r" % (condition,))
+    return all(sign * sum(structure.excess(e) for e in f) >= 0 for f in families)
 
 
 class TestSymbolicMatrix:
@@ -149,3 +188,39 @@ class TestCriterion:
             for cond in ("topsets_no_bottom", "bottomsets",
                          "bottomsets_no_top"):
                 assert gq3_criterion(st, cond) == crit
+
+    def test_unknown_condition(self):
+        st = GQBlockStructure(GQPoset((1,)), {(0,): 1, (1,): 1}, {(0,): 1, (1,): 1})
+        with pytest.raises(ValueError, match="unknown condition"):
+            gq3_criterion(st, "topset")
+
+    @given(seed=st.integers(0, 10 ** 6), scale=st.sampled_from([1, 7, 2 ** 61]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_family_oracle(self, seed, scale):
+        # random_gq_structure's structures, every block scaled; 2^61 leaves int64
+        s = random_gq_structure(exactalg.stream(seed, "test-gq3-oracle"))
+        s = GQBlockStructure(s.poset, {e: scale * x for e, x in s.r.items()},
+                             {e: scale * x for e, x in s.c.items()})
+        for cond in CONDITIONS:
+            assert gq3_criterion(s, cond) == family_criterion(s, cond)
+
+    @given(q=st.sampled_from(GQ_SHAPES + ((2, 2), (1, 1, 2))), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_family_oracle_any_sizes(self, q, data):
+        # arbitrary block sizes, made square unless the draw says otherwise;
+        # a non-square structure is refused by both
+        poset = GQPoset(q)
+        sizes = st.lists(st.integers(0, 4), min_size=len(poset), max_size=len(poset))
+        r, c = data.draw(sizes), data.draw(sizes)
+        square = data.draw(st.booleans())
+        gap = sum(r) - sum(c)
+        if square and gap:
+            (c if gap > 0 else r)[-1] += abs(gap)
+        s = GQBlockStructure(poset, dict(zip(poset.elements, r)), dict(zip(poset.elements, c)))
+        for cond in CONDITIONS:
+            if s.is_square:
+                assert gq3_criterion(s, cond) == family_criterion(s, cond)
+            else:
+                for crit in (gq3_criterion, family_criterion):
+                    with pytest.raises(ValueError, match="square"):
+                        crit(s, cond)
