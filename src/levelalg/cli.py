@@ -218,8 +218,7 @@ def _cmd_poset(args, p):
     report = _base_report("poset " + args.action, p, args.seed)
     report["q"] = list(q)
     if args.action == "topsets":
-        # each element is one list, shared by every topset that holds it
-        tops = enumerate_topsets(poset, [list(e) for e in poset.elements])
+        tops = enumerate_topsets(poset)
         report["count"] = len(tops)
         report["topsets"] = tops
         return report, 0

@@ -43,7 +43,8 @@ class FinitePoset:
 
     covers[i] holds the indexes of the elements that cover elements[i] from
     above, all smaller than i: the element list is a linear extension with
-    dominators first.  The topset matrix is generated on first use and kept.
+    dominators first.  The topset matrix is generated on first use
+    (topset_matrix) and kept.
     """
 
     def __init__(self, elements, covers):
@@ -53,50 +54,6 @@ class FinitePoset:
 
     def __len__(self):
         return len(self.elements)
-
-    def _topset_rows(self):
-        """The topset matrix (see topset_matrix), generated on the first call.
-
-        Elements join in list order: at elements[pos], each row built so far
-        whose covers[pos] columns are all set gets a copy with column pos
-        set, so the rows are exactly the sets holding the upper covers of
-        each member.  A row's highest set column is the step that made it.
-        So only rows made since the step of the last cover can hold every
-        cover, and appending keeps the rows in mask order: each new row is
-        an old one plus a bit above all of theirs.
-
-        The rows live in a bool buffer whose capacity doubles.  The guard
-        bounds its cells, counting at least 64 columns per row: growth that
-        would pass `limit` rows is refused, so the capacity never exceeds
-        `limit`.  A poset of n elements has at least n + 1 topsets, the
-        prefixes of its element list, so a long one is refused up front.
-        """
-        if self._topsets is not None:
-            return self._topsets
-        n = len(self.elements)
-        limit = 64 * TOPSET_GUARD // max(n, 64)
-        guard = TopsetGuardExceeded("more than %d topsets of %d elements" % (limit, n))
-        if n + 1 > limit:
-            raise guard
-        buf = np.zeros((min(64, limit), n), dtype=bool)
-        count, starts = 1, []
-        for pos, cov in enumerate(self.covers):
-            starts.append(count)
-            rows = buf[starts[max(cov)] if cov else 0:count]
-            new = rows[rows[:, list(cov)].all(axis=1)]
-            end = count + len(new)
-            if end > limit:
-                raise guard
-            if end > len(buf):
-                grown = np.empty((min(max(2 * len(buf), end), limit), n), dtype=bool)
-                grown[:count] = buf[:count]
-                buf = grown
-            buf[count:end] = new
-            buf[count:end, pos] = True
-            count = end
-        self._topsets = buf[:count]
-        self._topsets.flags.writeable = False
-        return self._topsets
 
 
 class GQPoset(FinitePoset):
@@ -141,13 +98,14 @@ class ElementSet:
         return sorted(list(m) for m in self.members)
 
 
-def enumerate_topsets(poset, labels=None):
+def enumerate_topsets(poset):
     """The members of every upward-closed subset except the empty and the full set.
 
-    One list per topset, in mask order, read straight off topset_matrix:
-    labels[i] (by default elements[i]) stands for elements[i], listed in
-    element order and shared between lists.  Refused when the lists would
-    hold more than MAX_LISTED members, before any is built.
+    One list per topset, in mask order, read straight off topset_matrix.
+    Each member is its element tuple as a list, built once per element and
+    shared between topsets; members are listed in element order.  Refused
+    when the lists would hold more than MAX_LISTED members, before any is
+    built.
     """
     rows = topset_matrix(poset)[1:-1]
     listed = int(np.count_nonzero(rows))
@@ -155,7 +113,7 @@ def enumerate_topsets(poset, labels=None):
         raise TopsetGuardExceeded("%d topsets list %d members, more than %d"
                                   % (len(rows), listed, MAX_LISTED))
     which, cols = np.nonzero(rows)
-    labels = poset.elements if labels is None else labels
+    labels = [list(e) for e in poset.elements]
     members = list(map(labels.__getitem__, cols.tolist()))
     ends = np.searchsorted(which, np.arange(1, len(rows) + 1)).tolist()
     return [members[lo:hi] for lo, hi in zip([0] + ends, ends)]
@@ -256,12 +214,51 @@ def topset_matrix(poset):
     """Boolean topset/element incidence matrix, one row per topset, read-only.
 
     Rows are in the order of their bitmasks, bit i for elements[i], so the
-    empty set comes first and the full set last.  Generated once per poset,
-    element by element (FinitePoset._topset_rows); TopsetGuardExceeded when
-    the rows times max(64, elements) would pass 64 * TOPSET_GUARD cells,
-    raised before the buffer grows past that.
+    empty set comes first and the full set last.  Generated on the first
+    call and kept on the poset.
+
+    Elements join in list order: at elements[pos], each row built so far
+    whose covers[pos] columns are all set gets a copy with column pos set,
+    so the rows are exactly the sets holding the upper covers of each
+    member.  A row's highest set column is the step that made it.  So only
+    rows made since the step of the last cover can hold every cover, and
+    appending keeps the rows in mask order: each new row is an old one plus
+    a bit above all of theirs.
+
+    The rows live in a bool buffer whose capacity doubles; the kept matrix
+    is an exact-size copy.  TopsetGuardExceeded when the rows times
+    max(64, elements) would pass 64 * TOPSET_GUARD cells: growth that would
+    pass that many rows is refused, so the capacity never exceeds it.  A
+    poset of n elements has at least n + 1 topsets, the prefixes of its
+    element list, so a long one is refused up front.
     """
-    return poset._topset_rows()
+    if poset._topsets is not None:
+        return poset._topsets
+    n = len(poset.elements)
+    limit = 64 * TOPSET_GUARD // max(n, 64)
+    guard = TopsetGuardExceeded("more than %d topsets of %d elements" % (limit, n))
+    if n + 1 > limit:
+        raise guard
+    buf = np.zeros((min(64, limit), n), dtype=bool)
+    count, starts = 1, []
+    for pos, cov in enumerate(poset.covers):
+        starts.append(count)
+        rows = buf[starts[max(cov)] if cov else 0:count]
+        new = rows[rows[:, list(cov)].all(axis=1)]
+        end = count + len(new)
+        if end > limit:
+            raise guard
+        if end > len(buf):
+            grown = np.empty((min(max(2 * len(buf), end), limit), n), dtype=bool)
+            grown[:count] = buf[:count]
+            buf = grown
+        buf[count:end] = new
+        buf[count:end, pos] = True
+        count = end
+    tops = buf if count == len(buf) else buf[:count].copy()
+    tops.flags.writeable = False
+    poset._topsets = tops
+    return tops
 
 
 def random_order_preserving(poset, rng):
