@@ -57,7 +57,7 @@ class GeneratorBlock:
     def __post_init__(self):
         object.__setattr__(self, "bounds", tuple(self.bounds))
         object.__setattr__(self, "coeffs", np.atleast_2d(np.asarray(self.coeffs, dtype=np.int64)))
-        width = count_constrained(self.r, self.j, self.bounds, self.j)
+        width = count_constrained(self.r, self.j, self.bounds)
         if self.coeffs.shape[1] != width:
             raise ValueError("coefficient width %d != support size %d"
                              % (self.coeffs.shape[1], width))
@@ -181,12 +181,12 @@ def check_cells(r, j, d, crops):
     A block's support, row and column lists, and the column union, are
     enumerated as tuples, so each is also refused over MAX_MONOMIALS.
     """
-    counts = [[count_constrained(r, e, box, j) for e in (j, j - d, d)] for box, _ in crops]
+    counts = [[count_constrained(r, e, box) for e in (j, j - d, d)] for box, _ in crops]
     rows = sum(max(s, 1) * c[1] for (_, s), c in zip(crops, counts))
     total = sum(c[2] for c in counts)
     padded = [tuple(box) + (j,) * (r - len(box)) for box, _ in crops]
     hull = tuple(max(col) for col in zip(*padded))
-    cols = min(total, count_constrained(r, d, hull, j))
+    cols = min(total, count_constrained(r, d, hull))
     if rows * cols > MAX_CELLS:
         raise ValueError("the degree-%d derivative matrix would be %d x %d, over the limit "
                          "of %d entries" % (d, rows, cols, MAX_CELLS))
@@ -404,27 +404,3 @@ def sum_space_dimension(v, w, d):
     both = HomogeneousSubspace(v.r, v.j, v.blocks + w.blocks, v.p)
     dim = hilbert_value(both, d)
     return SumSplit(dim, dim == hilbert_value(v, d) + hilbert_value(w, d))
-
-
-@dataclass(frozen=True)
-class MaxRankReport:
-    rows: int
-    cols: int
-    guaranteed_full_rank: bool
-
-
-def max_rank_predicate(bounds, r, j, d, s):
-    """Row/column counts of the cropped matrix and the tall-enough guarantee.
-
-    With some coordinate unconstrained (a bound of j or more constrains
-    nothing), generic generators give a matrix of maximal rank, so when
-    rows >= cols the predicted Hilbert value at degree d is the column
-    count.  A box that bounds every coordinate below j has no such
-    guarantee: for r = 3, j = 7, box (2, 4, 2) and s = 2 the 6 x 6 matrix
-    at d = 6 has rank 5 for every draw.
-    """
-    e = j - d
-    rows = s * count_constrained(r, e, bounds, j)
-    cols = count_constrained(r, d, bounds, j)
-    free = sum(q < j for q in bounds) < r
-    return MaxRankReport(rows, cols, free and rows >= cols)

@@ -25,7 +25,6 @@ from .apolarity import GeneratorBlock, HomogeneousSubspace, hilbert_value
 from .multiindex import count_constrained, enumerate_constrained
 
 FAMILIES = ("F1", "F2", "G1", "G2", "G3", "H1")
-SINGLE_DROP = ("F2", "G2", "G3")
 
 BERNSTEIN_H = (1, 5, 12, 22, 35, 51, 70, 91, 90, 91, 70, 51, 35, 22, 12, 5, 1)
 
@@ -125,7 +124,7 @@ def _shape(family, a, b, c, i):
 
 def _m_p(family, a, b, c, i, d):
     r, j, p_bounds, _, _, _, _ = _shape(family, a, b, c, i)
-    return count_constrained(r, d, p_bounds, j)
+    return count_constrained(r, d, p_bounds)
 
 
 def min_sufficient_s(family, a, b=None, c=None, i=None):
@@ -135,24 +134,6 @@ def min_sufficient_s(family, a, b=None, c=None, i=None):
     i_f = i + (2 if drop == "single" else 3)
     return _ceil_div(_m_p(family, a, b, c, i, i_f),
                      _m_p(family, a, b, c, i, j - i_f))
-
-
-def theorem_min_s(family, a, b=None, c=None, i=None):
-    """Per-family closed forms for min_sufficient_s (not defined for G3)."""
-    if family == "F1":
-        return _ceil_div(a * (2 * i - a + 9), a * a - 3 * a + 2)
-    if family == "F2":
-        return _ceil_div(4 * a * (2 * i - a + 7), (a - 1) * (a - 3))
-    if family == "G1":
-        return _ceil_div(2 * i - a - b + 10, 2 * a * b - a - b - 2)
-    if family == "G2":
-        if a == 2:
-            return _ceil_div(a * b * (2 * i - a - b + 8),
-                             a * b * (a * b - a - b) + 2)
-        return _ceil_div(2 * i - a - b + 8, a * b - a - b)
-    if family == "H1":
-        return _ceil_div(2 * i - a - b - c + 11, 2 * a * b * c - a - b - c - 1)
-    raise FamilyError("no closed form for %r" % (family,))
 
 
 @dataclass(frozen=True)
@@ -290,8 +271,8 @@ def deltas(params, d):
 def construct(params, seed, p=exactalg.DEFAULT_PRIME):
     """The random subspace E + F for these parameters, deterministic in seed."""
     r, j = params.r, params.j
-    m_p = count_constrained(r, j, params.p_bounds, j)
-    m_q = count_constrained(r, j, params.q_bounds, j)
+    m_p = count_constrained(r, j, params.p_bounds)
+    m_q = count_constrained(r, j, params.q_bounds)
     e_block = GeneratorBlock(r, j, params.p_bounds,
                              exactalg.sample((params.s, m_p), seed, "family-E", p))
     f_block = GeneratorBlock(r, j, params.q_bounds,
@@ -368,16 +349,11 @@ def special_construction(kind, seed=0, p=exactalg.DEFAULT_PRIME):
 
 def _bernstein_block(seed, p):
     inner = enumerate_constrained(3, 15)
-    f = exactalg.sample((len(inner),), seed, "bernstein-f", p)
-    g = exactalg.sample((len(inner),), seed, "bernstein-g", p)
-    bounds = (15, 15, 15, 1, 1)
-    support = enumerate_constrained(5, 16, bounds)
-    index = {m: i for i, m in enumerate(support)}
-    row = np.zeros(len(support), dtype=np.int64)
-    for m, fc, gc in zip(inner, f, g):
-        row[index[m + (1, 0)]] = fc
-        row[index[m + (0, 1)]] = gc
-    return GeneratorBlock(5, 16, bounds, row.reshape(1, -1))
+    f = exactalg.sample((len(inner),), seed, "bernstein-f", p).tolist()
+    g = exactalg.sample((len(inner),), seed, "bernstein-g", p).tolist()
+    terms = {m + (1, 0): c for m, c in zip(inner, f)}
+    terms.update((m + (0, 1), c) for m, c in zip(inner, g))
+    return HomogeneousSubspace.from_sparse(5, 16, [terms], (15, 15, 15, 1, 1), p).blocks[0]
 
 
 def _full_bounds(block):
@@ -405,17 +381,11 @@ def extend_codim(base, k_extra, mode="append"):
         if len(base.blocks) != 1 or base.blocks[0].n_generators != 1:
             raise FamilyError("summed extension needs a single-generator base")
         b = base.blocks[0]
-        bounds = _full_bounds(b) + (j,) * k_extra
-        support = enumerate_constrained(r2, j, bounds)
-        index = {m: i for i, m in enumerate(support)}
-        row = np.zeros(len(support), dtype=np.int64)
-        for m, coeff in zip(b.support, b.coeffs[0]):
-            row[index[m + (0,) * k_extra]] = coeff
+        terms = {m + (0,) * k_extra: c for m, c in zip(b.support, b.coeffs[0].tolist())}
         for m in range(k_extra):
-            mono = (0,) * (base.r + m) + (j,) + (0,) * (k_extra - m - 1)
-            row[index[mono]] = 1
-        return HomogeneousSubspace(r2, j, (GeneratorBlock(r2, j, bounds, row.reshape(1, -1)),),
-                                   base.p)
+            terms[(0,) * (base.r + m) + (j,) + (0,) * (k_extra - m - 1)] = 1
+        return HomogeneousSubspace.from_sparse(r2, j, [terms], _full_bounds(b) + (j,) * k_extra,
+                                               base.p)
     raise FamilyError("unknown extension mode %r" % (mode,))
 
 

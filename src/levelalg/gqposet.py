@@ -14,9 +14,11 @@ product of chains, e.g. an antichain).
 
 The topsets of a poset are generated once, as one boolean matrix with a
 row per topset in bitmask order (topset_matrix).  Everything else reads
-that matrix: enumerate_topsets lists members straight off its rows, and the
-TPP/TAP checks and lmatrix.gq3_criterion take one exact integer product of
-it with a weight vector (topset_sums).
+that matrix: enumerate_topsets lists members straight off its rows, and
+first_negative_topset answers the one question behind TPP, TAP and
+lmatrix.gq3_criterion: for each integer weight column, which topset comes
+first in mask order with a negative sum, if any.  TAP is TPP of the
+shifted function times n, and the criterion is TPP of the block excesses.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 TOPSET_GUARD = 1 << 20
 MAX_WEIGHT = 10  # largest weight in random_order_preserving
-_CHECK_CELLS = 1 << 20  # topset matrix cells per product in topset_sums
+_CHECK_CELLS = 1 << 20  # matrix and product cells per chunk of first_negative_topset
 MAX_LISTED = 1 << 24  # members over all the lists of enumerate_topsets
 
 
@@ -70,14 +72,6 @@ class GQPoset(FinitePoset):
         strides = [prod(b + 1 for b in self.q[k + 1:]) for k in range(len(self.q))]
         super().__init__(elements, [[i - s for s, x in zip(strides, e) if x]
                                     for i, e in enumerate(elements)])
-
-    @property
-    def top(self):
-        return tuple(0 for _ in self.q)
-
-    @property
-    def bottom(self):
-        return self.q
 
 
 def dominates(i, j):
@@ -166,48 +160,62 @@ def check_tpp(poset, phi):
     phi.validated(poset)
     if phi.total(poset) < 0:
         raise ValueError("TPP requires a nonnegative total sum")
-    return _check(poset, phi, lambda s, size, total, n: s >= 0)
+    return _check(poset, _integer_weights(poset, phi))
 
 
 def check_tap(poset, phi):
-    """Is every nonempty topset's average at least the global average?"""
-    phi.validated(poset)
-    return _check(poset, phi, lambda s, size, total, n: n * s >= total * size)
+    """Is every nonempty topset's average at least the global average?
 
-
-def _check(poset, phi, ok):
-    """Test ok(s, size, total, n) on every topset; the first failure in mask order is the witness.
-
-    phi is scaled by the lcm of its denominators to integers w, so each
-    topset's scaled sum s is its entry of topset_sums(poset, w); total is
-    the sum of w and n the number of elements.
+    With w = phi scaled to integers, total its sum and n the number of
+    elements, a topset T passes iff n * w(T) - total * |T| >= 0: TAP of phi
+    is TPP of n * w - total.
     """
+    phi.validated(poset)
+    w = _integer_weights(poset, phi)
+    total = sum(w)
+    return _check(poset, [len(w) * x - total for x in w])
+
+
+def _integer_weights(poset, phi):
+    """phi on the element list, scaled by the lcm of its denominators to integers."""
     values = [phi.values[e] for e in poset.elements]
     scale = lcm(*(v.denominator for v in values))
-    w = [v.numerator * (scale // v.denominator) for v in values]
-    sums = topset_sums(poset, w)
-    tops = topset_matrix(poset)
-    bad = np.flatnonzero(~ok(sums, tops.sum(axis=1).astype(sums.dtype), sum(w), len(w)))
-    if bad.size:
-        row = tops[bad[0]].tolist()
-        return CheckResult(False, ElementSet(itertools.compress(poset.elements, row)))
-    return CheckResult(True, None)
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
-def topset_sums(poset, w):
-    """The exact sum of the integer weights w over every topset, in mask order.
+def _check(poset, w):
+    """Pass, or fail with the first topset in mask order whose w-sum is negative."""
+    row = first_negative_topset(poset, np.array(w, dtype=object).reshape(-1, 1))[0]
+    if row < 0:
+        return CheckResult(True, None)
+    members = itertools.compress(poset.elements, topset_matrix(poset)[row].tolist())
+    return CheckResult(False, ElementSet(members))
 
-    One product of topset_matrix with w, in int64 when len(w) times the
-    sum of |w| fits, else in Python integers, _CHECK_CELLS matrix cells at
-    a time.
+
+def first_negative_topset(poset, w):
+    """Per weight column, the first row of topset_matrix with a negative sum, else -1.
+
+    w is an n x k array of integers, row i weighting elements[i].  The sums
+    are exact: the matrix is multiplied by the columns still open, in chunks
+    of _CHECK_CELLS cells of matrix and product together, in float64 when
+    every column's sum of |w| is below 2**53 (so every partial sum is an
+    integer below 2**53, in any order of addition), else in Python integers.
     """
-    n = len(w)
-    exact = np.int64 if n * sum(map(abs, w)) < 2 ** 63 else object
-    w = np.array(w, dtype=exact)
+    w = np.array(w, dtype=object)
+    exact = np.float64 if max(abs(w).sum(axis=0).tolist(), default=0) < 2 ** 53 else object
+    w = w.astype(exact)
     tops = topset_matrix(poset)
-    step = max(1, _CHECK_CELLS // max(n, 1))
-    return np.concatenate([tops[lo:lo + step].astype(exact) @ w
-                           for lo in range(0, len(tops), step)])
+    first = np.full(w.shape[1], -1)
+    cols = np.arange(w.shape[1])
+    step = max(1, _CHECK_CELLS // (w.shape[0] + w.shape[1]))
+    for lo in range(0, len(tops), step):
+        if not cols.size:
+            break
+        neg = tops[lo:lo + step].astype(exact) @ w[:, cols] < 0
+        hit = neg.any(axis=0)
+        first[cols[hit]] = lo + neg.argmax(axis=0)[hit]
+        cols = cols[~hit]
+    return first
 
 
 def topset_matrix(poset):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exactalg
-from .gqposet import GQPoset, dominates, topset_matrix, topset_sums
+from .gqposet import GQPoset, dominates, first_negative_topset
 
 EXACT_DET_LIMIT = 7
 DET_TRIALS = 3  # evaluation points of the randomized determinant test
@@ -29,6 +29,7 @@ DET_TRIALS = 3  # evaluation points of the randomized determinant test
 GQ_SHAPES = ((), (1,), (2,), (3,), (4,), (5,), (6,), (7,), (1, 1), (1, 2), (1, 3), (1, 1, 1))
 REUSE_PROB = 0.3
 MAX_LAMBDA = 3
+CONDITIONS = ("topsets", "topsets_no_bottom", "bottomsets", "bottomsets_no_top")
 
 
 @dataclass(frozen=True)
@@ -175,21 +176,16 @@ def gq3_criterion(structure, condition="topsets"):
     """
     if not structure.is_square:
         raise ValueError("criterion requires a square structure")
-    poset = structure.poset
-    tops = topset_matrix(poset)
-    sums = topset_sums(poset, [structure.excess(e) for e in poset.elements])
-    # Every topset's excess sum, the empty and the full set's being 0 on a
-    # square structure.  The topsets of G_Q minus Q are the rows without Q,
-    # the last element.  A bottomset's sum is the total minus its complement
-    # topset's, and the bottomsets of G_Q minus 0 are the complements of the
-    # rows with 0, the first element.
-    rows = {"topsets": slice(None), "topsets_no_bottom": ~tops[:, -1],
-            "bottomsets": slice(None), "bottomsets_no_top": tops[:, 0]}
-    if condition not in rows:
+    # On a square structure the four forms are one test: the empty and the
+    # full set both sum to 0, the only topset holding the minimum Q is the
+    # full set, every nonempty topset holds the maximum 0, and a bottomset
+    # sums to minus its complement.  The names stay, since the tests and the
+    # selftest check each form against its own oracle.
+    if condition not in CONDITIONS:
         raise ValueError("unknown condition %r" % (condition,))
-    if condition.startswith("bottomsets"):
-        sums = sums - sums[-1]
-    return bool((sums[rows[condition]] >= 0).all())
+    poset = structure.poset
+    excess = np.array([structure.excess(e) for e in poset.elements], dtype=object)
+    return bool(first_negative_topset(poset, excess.reshape(-1, 1))[0] < 0)
 
 
 def exact_det_polynomial(m):

@@ -3,10 +3,10 @@
 A multi-index is a tuple of non-negative integer exponents.  A constraint
 Q = (Q_1, ..., Q_n) with n <= r bounds the first n exponents; M_Q(d) denotes
 the set of multi-indexes of dimension r and degree d with I_i <= Q_i for
-i <= n, and m_Q(d) its cardinality.  Closed-form counts are available for
-several constraint shapes; `closed_form_count` reports applicability instead
-of silently falling back, and `count_constrained` counts every other shape
-without enumerating it.
+i <= n, and m_Q(d) its cardinality.  `count_constrained` counts every shape
+by a series without enumerating it; `closed_form_count` gives the paper's
+closed forms for several constraint shapes and reports applicability instead
+of silently falling back.
 """
 
 from __future__ import annotations
@@ -184,8 +184,8 @@ def _prefixes(bounds, d):
             yield (head,) + tail
 
 
-def count_constrained(r, d, bounds=(), j=None):
-    """m_Q(d) = #M_Q(d): the closed form where one applies, else by series.
+def count_constrained(r, d, bounds=()):
+    """m_Q(d) = #M_Q(d), by series.
 
     m_Q(d) is the coefficient of x^d in prod_i (1 - x^(Q_i+1)) / (1 - x)^r.
     The numerator is expanded one bound at a time as a sparse map from
@@ -194,9 +194,8 @@ def count_constrained(r, d, bounds=(), j=None):
     """
     if len(bounds) > r:
         raise ValueError("more bounds than coordinates")
-    cf = closed_form_count(r, d, bounds, j)
-    if cf is not None:
-        return cf
+    if d < 0 or r == 0:  # comb would raise: M_Q(d) is empty, or {()} at d = 0
+        return int(d == 0)
     num = {0: 1}
     for q in bounds:
         step = q + 1

@@ -1,5 +1,6 @@
 """Derivative action, matrix construction, and Hilbert values."""
 
+from dataclasses import dataclass
 from math import comb
 from unittest import mock
 
@@ -13,11 +14,34 @@ from levelalg import apolarity, exactalg, families, lmatrix, multiindex
 from levelalg.apolarity import (GeneratorBlock, HomogeneousSubspace,
                                 build_matrix, derivative_coefficient,
                                 derivative_template, hilbert_value,
-                                hilbert_vector, max_rank_predicate,
-                                standard_structure, sum_space_dimension)
+                                hilbert_vector, standard_structure,
+                                sum_space_dimension)
 from levelalg.multiindex import count_constrained, enumerate_constrained
 
 P = exactalg.DEFAULT_PRIME
+
+
+@dataclass(frozen=True)
+class MaxRankReport:
+    rows: int
+    cols: int
+    guaranteed_full_rank: bool
+
+
+def max_rank_predicate(bounds, r, j, d, s):
+    """Row/column counts of the cropped matrix and the tall-enough guarantee.
+
+    With some coordinate unconstrained (a bound of j or more constrains
+    nothing), generic generators give a matrix of maximal rank, so when
+    rows >= cols the predicted Hilbert value at degree d is the column
+    count.  A box that bounds every coordinate below j has no such
+    guarantee: for r = 3, j = 7, box (2, 4, 2) and s = 2 the 6 x 6 matrix
+    at d = 6 has rank 5 for every draw.
+    """
+    rows = s * count_constrained(r, j - d, bounds)
+    cols = count_constrained(r, d, bounds)
+    free = sum(q < j for q in bounds) < r
+    return MaxRankReport(rows, cols, free and rows >= cols)
 
 
 def apply_derivative(e_idx, f, p=None):

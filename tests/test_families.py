@@ -1,5 +1,7 @@
 """Family validation, predictions, constructions, and the catalog."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,27 @@ from levelalg.families import (BERNSTEIN_H, FamilyError, existence_catalog,
                                extend_codim, f2_threshold, g3_socle_shift,
                                min_sufficient_s, predicted_h, realize_recipe,
                                require_valid, special_construction,
-                               theorem_min_s, validate, validate_json,
-                               verify_drop)
+                               validate, validate_json, verify_drop)
+
+
+def theorem_min_s(family, a, b=None, c=None, i=None):
+    """The paper's per-family closed forms for min_sufficient_s (none for G3)."""
+    def ceil_div(x, y):
+        return -(-x // y)
+    if family == "F1":
+        return ceil_div(a * (2 * i - a + 9), a * a - 3 * a + 2)
+    if family == "F2":
+        return ceil_div(4 * a * (2 * i - a + 7), (a - 1) * (a - 3))
+    if family == "G1":
+        return ceil_div(2 * i - a - b + 10, 2 * a * b - a - b - 2)
+    if family == "G2":
+        if a == 2:
+            return ceil_div(a * b * (2 * i - a - b + 8),
+                            a * b * (a * b - a - b) + 2)
+        return ceil_div(2 * i - a - b + 8, a * b - a - b)
+    if family == "H1":
+        return ceil_div(2 * i - a - b - c + 11, 2 * a * b * c - a - b - c - 1)
+    raise FamilyError("no closed form for %r" % (family,))
 
 
 class TestThresholds:
@@ -160,6 +181,19 @@ class TestSpecialConstructions:
         # type preserved, interior values shifted up by one
         assert h[base.w.j] == h0[base.w.j]
         assert all(h[d] == h0[d] + 1 for d in range(1, base.w.j))
+
+    def test_extend_codim_summed_refused_before_enumeration(self):
+        # r = 10 puts 702522 monomials in the one generator's box: the size
+        # guard refuses it from the counts, with no r = 10 list built
+        base = special_construction("bernstein_t1")
+        real = apolarity.enumerate_constrained
+
+        def base_lists_only(r, d, bounds=()):
+            assert r < 10, "enumerated an r = 10 monomial list"
+            return real(r, d, bounds)
+        with mock.patch.object(apolarity, "enumerate_constrained", side_effect=base_lists_only):
+            with pytest.raises(ValueError, match="702522 monomials"):
+                extend_codim(base, 5, "summed")
 
 
 class HomogeneousSubspaceFixture:

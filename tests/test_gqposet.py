@@ -1,5 +1,6 @@
 """The bounded-exponent poset, topset enumeration, and TPP/TAP checks."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from levelalg import cli, exactalg, gqposet
 from levelalg.gqposet import (MAX_WEIGHT, FinitePoset, GQPoset, OrderPreservingFn,
                               TopsetGuardExceeded, check_tap, check_tpp,
-                              dominates, enumerate_topsets,
+                              dominates, enumerate_topsets, first_negative_topset,
                               random_order_preserving, topset_matrix)
 
 
@@ -79,8 +80,9 @@ class TestPosetStructure:
     def test_cardinality_and_extremes(self):
         p = GQPoset((2, 3))
         assert len(p) == 12
-        assert p.top == (0, 0)
-        assert p.bottom == (2, 3)
+        # the maximum 0 comes first and the minimum Q last
+        assert p.elements[0] == (0, 0)
+        assert p.elements[-1] == p.q == (2, 3)
         # the upper covers of I are the I - e_k, listed before I
         at = p.elements.index((1, 2))
         assert {p.elements[j] for j in p.covers[at]} == {(0, 2), (1, 1)}
@@ -292,17 +294,20 @@ class TestTppTap:
         assert not res.passed
         assert res.witness.members == {"a"}
 
-    @given(n=st.integers(1, 7), seed=st.integers(0, 10 ** 6), big=st.booleans(),
+    @given(n=st.integers(1, 7), seed=st.integers(0, 10 ** 6),
+           scale=st.sampled_from([1, 2 ** 44, 2 ** 47, 2 ** 62]),
            cells=st.sampled_from([1, 5, gqposet._CHECK_CELLS]))
     @settings(max_examples=150, deadline=None)
-    def test_matches_fraction_sums(self, n, seed, big, cells):
-        # Any DAG of covers, so witnesses exist; rational values, some large
-        # enough to leave int64; a few topset rows per product or all of them.
+    def test_matches_fraction_sums(self, n, seed, scale, cells):
+        # Any DAG of covers, so witnesses exist; rational values whose
+        # scaled column sums of |w| fall below 2^53 (float64) or above it
+        # (Python integers), some past int64; a few topset rows per product
+        # or all of them.
         rng = random.Random(seed)
         covers = [rng.sample(range(i), rng.randint(0, min(i, 2))) for i in range(n)]
         vals = []
         for cov in covers:
-            raw = Fraction(rng.randint(-9, 9) * (2 ** 62 if big else 1), rng.choice([1, 2, 3, 6]))
+            raw = Fraction(rng.randint(-9, 9) * scale, rng.choice([1, 2, 3, 6]))
             vals.append(min([raw] + [vals[c] for c in cov]))
         shift = min(sum(vals), 0) / n
         poset = FinitePoset(range(n), covers)
@@ -312,3 +317,32 @@ class TestTppTap:
                 got, want = check(poset, phi), loop_check(poset, phi, tap)
                 assert got.passed == (want is None)
                 assert (got.witness and got.witness.members) == want
+
+    @given(n=st.integers(1, 7), k=st.integers(2, 5), seed=st.integers(0, 10 ** 6),
+           scale=st.sampled_from([1, 2 ** 50, 2 ** 62]),
+           cells=st.sampled_from([1, 5, gqposet._CHECK_CELLS]))
+    @settings(max_examples=100, deadline=None)
+    def test_columns_match_loop_check(self, n, k, seed, scale, cells):
+        # each column of one call finds what the Fraction loop finds for it alone
+        rng = random.Random(seed)
+        poset = random_dag_poset(rng, n)
+        phis = [OrderPreservingFn({e: rng.randint(-9, 9) * scale for e in poset.elements})
+                for _ in range(k)]
+        w = np.array([[int(phi(e)) for phi in phis] for e in poset.elements],
+                     dtype=object).reshape(n, k)
+        with mock.patch.object(gqposet, "_CHECK_CELLS", cells):
+            first = first_negative_topset(poset, w)
+        mat = topset_matrix(poset)
+        assert first.shape == (k,)
+        for row, phi in zip(first.tolist(), phis):
+            got = None if row < 0 else frozenset(itertools.compress(poset.elements, mat[row]))
+            assert got == loop_check(poset, phi, False)
+
+    def test_abs_sum_past_int64(self):
+        # Entries fit int64 but their |w| sum is 2^64 - 1: the full chain
+        # sums to -1, which float64 rounds to 0, and an int64 bound wraps.
+        chain3 = GQPoset((2,))
+        w = np.array([[2 ** 62 - 1], [2 ** 62], [-2 ** 63]], dtype=np.int64)
+        assert first_negative_topset(chain3, w).tolist() == [3]
+        assert first_negative_topset(chain3, w[:, [0, 0]] + [[0, 1], [0, 0], [0, 0]]
+                                     ).tolist() == [3, -1]

@@ -35,18 +35,19 @@ def family_criterion(structure, condition="topsets"):
         raise ValueError("criterion requires a square structure")
     poset = structure.poset
     elements = frozenset(poset.elements)
+    top, bottom = (0,) * len(poset.q), poset.q
     tops = [t for t in brute_topsets(poset) if t and t != elements]
     if condition == "topsets":
         families, sign = tops, 1
     elif condition == "topsets_no_bottom":
-        families = [t for t in tops if poset.bottom not in t]
-        families.append(elements - {poset.bottom})
+        families = [t for t in tops if bottom not in t]
+        families.append(elements - {bottom})
         families, sign = [f for f in families if f], 1
     elif condition == "bottomsets":
         families, sign = [elements - t for t in tops], -1
     elif condition == "bottomsets_no_top":
-        bots = [elements - t for t in tops if poset.top not in elements - t]
-        bots.append(elements - {poset.top})
+        bots = [elements - t for t in tops if top not in elements - t]
+        bots.append(elements - {top})
         families, sign = [f for f in bots if f], -1
     else:
         raise ValueError("unknown condition %r" % (condition,))

@@ -103,20 +103,20 @@ class TestClosedForms:
                     brute_count(r, d, b), (r, b, d)
 
     def test_method_dispatch(self):
-        # the closed form where it applies, the series where it is None
+        # the series agrees with the closed form where one applies, and
+        # counts where none does
         assert closed_form_count(3, 7, (2, 3), j=9) == 12
-        assert count_constrained(3, 7, (2, 3), j=9) == 12
+        assert count_constrained(3, 7, (2, 3)) == 12
         assert closed_form_count(4, 2, (1, 1, 1), j=9) is None
-        assert count_constrained(4, 2, (1, 1, 1), j=9) == \
+        assert count_constrained(4, 2, (1, 1, 1)) == \
             len(enumerate_constrained(4, 2, (1, 1, 1))) == brute_count(4, 2, (1, 1, 1))
 
     @given(r=st.integers(0, 5), d=st.integers(-1, 10),
-           bounds=st.lists(st.integers(0, 7), max_size=5), extra=st.integers(-1, 3))
+           bounds=st.lists(st.integers(0, 7), max_size=5))
     @settings(max_examples=300, deadline=None)
-    def test_count_matches_enumeration(self, r, d, bounds, extra):
+    def test_count_matches_enumeration(self, r, d, bounds):
         bounds = tuple(bounds[:r])
-        j = None if extra < 0 else max([d] + list(bounds)) + extra
-        assert count_constrained(r, d, bounds, j) == len(enumerate_constrained(r, d, bounds))
+        assert count_constrained(r, d, bounds) == len(enumerate_constrained(r, d, bounds))
 
     def test_counts_without_enumerating(self):
         # no closed form covers these, and none of them may be enumerated
@@ -124,7 +124,7 @@ class TestClosedForms:
             assert count_constrained(12, 30, (30,) * 12) == comb(41, 11)
             assert count_constrained(3, 10 ** 6, (10 ** 6 - 1,) * 3) == comb(10 ** 6 + 2, 2) - 3
             assert count_constrained(40, 20, (0,) * 20 + (1,) * 20) == 1
-            assert count_constrained(4, 2, (1, 1, 1), j=9) == comb(5, 3) - 3
+            assert count_constrained(4, 2, (1, 1, 1)) == comb(5, 3) - 3
 
     def test_effective_bounds(self):
         assert effective_bounds((2, 6, 3), 6) == (2, 3)
