@@ -19,6 +19,7 @@ first_negative_topset answers the one question behind TPP, TAP and
 lmatrix.gq3_criterion: for each integer weight column, which topset comes
 first in mask order with a negative sum, if any.  TAP is TPP of the
 shifted function times n, and the criterion is TPP of the block excesses.
+random_trials checks both properties of many random functions at once.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 TOPSET_GUARD = 1 << 20
 MAX_WEIGHT = 10  # largest weight in random_order_preserving
 _CHECK_CELLS = 1 << 20  # matrix and product cells per chunk of first_negative_topset
+_TRIAL_GROUP = 64  # functions per first_negative_topset call of random_trials
 MAX_LISTED = 1 << 24  # members over all the lists of enumerate_topsets
 
 
@@ -139,11 +141,6 @@ class OrderPreservingFn:
     def total(self, poset):
         return sum(self.values[e] for e in poset.elements)
 
-    def shifted(self, poset):
-        """phi minus the global average (used for the TAP/TPP equivalence)."""
-        mean = self.total(poset) / len(poset)
-        return OrderPreservingFn({k: v - mean for k, v in self.values.items()})
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -186,10 +183,12 @@ def _integer_weights(poset, phi):
 def _check(poset, w):
     """Pass, or fail with the first topset in mask order whose w-sum is negative."""
     row = first_negative_topset(poset, np.array(w, dtype=object).reshape(-1, 1))[0]
-    if row < 0:
-        return CheckResult(True, None)
-    members = itertools.compress(poset.elements, topset_matrix(poset)[row].tolist())
-    return CheckResult(False, ElementSet(members))
+    return CheckResult(True, None) if row < 0 else CheckResult(False, topset(poset, row))
+
+
+def topset(poset, row):
+    """The members of row `row` of topset_matrix."""
+    return ElementSet(itertools.compress(poset.elements, topset_matrix(poset)[row].tolist()))
 
 
 def first_negative_topset(poset, w):
@@ -283,3 +282,24 @@ def random_order_preserving(poset, rng):
     raw = w.ravel().tolist()
     shift = int(rng.integers(0, sum(raw) // n + 1))
     return OrderPreservingFn({e: x - shift for e, x in zip(poset.elements, raw)})
+
+
+def random_trials(poset, rng, trials):
+    """TPP and TAP of `trials` random_order_preserving draws from rng, in order.
+
+    A 2 x trials array: row 0 holds the first_negative_topset row of each
+    function w, row 1 that of its TAP weights n * w - total, -1 where the
+    check passes.  The functions are drawn and checked _TRIAL_GROUP at a
+    time, as the columns of [W | n * W - totals], so memory does not grow
+    with trials.
+    """
+    n = len(poset)
+    first = np.full((2, trials), -1)
+    for lo in range(0, trials, _TRIAL_GROUP):
+        w = np.empty((n, min(_TRIAL_GROUP, trials - lo)), dtype=np.int64)
+        for col in w.T:
+            phi = random_order_preserving(poset, rng)
+            col[:] = [int(phi(e)) for e in poset.elements]
+        cols = first_negative_topset(poset, np.hstack([w, n * w - w.sum(axis=0)]))
+        first[:, lo:lo + w.shape[1]] = cols.reshape(2, -1)
+    return first

@@ -29,7 +29,6 @@ DET_TRIALS = 3  # evaluation points of the randomized determinant test
 GQ_SHAPES = ((), (1,), (2,), (3,), (4,), (5,), (6,), (7,), (1, 1), (1, 2), (1, 3), (1, 1, 1))
 REUSE_PROB = 0.3
 MAX_LAMBDA = 3
-CONDITIONS = ("topsets", "topsets_no_bottom", "bottomsets", "bottomsets_no_top")
 
 
 @dataclass(frozen=True)
@@ -99,17 +98,10 @@ def classify(m):
         for j, cell in enumerate(row):
             if cell is not None:
                 occ.setdefault(cell[1], []).append((i, j))
-    moving = set()
-    for var, places in occ.items():
-        places.sort()
-        ok = True
-        for (r1, c1), (r2, c2) in itertools.combinations(places, 2):
-            # lower row <=> strictly further left
-            if not ((r1 < r2) == (c1 > c2) and r1 != r2 and c1 != c2):
-                ok = False
-                break
-        if ok:
-            moving.add(var)
+    # occurrences arrive in row-major order, so every pair is in a lower row
+    # and strictly further left iff every consecutive pair is
+    moving = {var for var, places in occ.items()
+              if all(r1 < r2 and c1 > c2 for (r1, c1), (r2, c2) in zip(places, places[1:]))}
     return Classification(True, frozenset(moving), len(moving) == len(occ))
 
 
@@ -165,24 +157,21 @@ def verify_gq_pattern(m, structure):
                                             for row in m.entries]
 
 
-def gq3_criterion(structure, condition="topsets"):
+def gq3_criterion(structure):
     """Nonsingularity criterion for a square G_Q-pattern L-matrix.
 
-    condition selects one of the equivalent forms:
-    - "topsets": excess sums >= 0 over nonempty proper topsets of G_Q;
-    - "topsets_no_bottom": same over nonempty topsets of G_Q minus Q;
-    - "bottomsets": excess sums <= 0 over nonempty proper bottomsets;
-    - "bottomsets_no_top": same over nonempty bottomsets of G_Q minus 0.
+    The paper states it in four equivalent forms:
+    - excess sums >= 0 over nonempty proper topsets of G_Q;
+    - the same over nonempty topsets of G_Q minus Q;
+    - excess sums <= 0 over nonempty proper bottomsets;
+    - the same over nonempty bottomsets of G_Q minus 0.
+    On a square structure they are one test: the empty and the full set
+    both sum to 0, the only topset holding the minimum Q is the full set,
+    every nonempty topset holds the maximum 0, and a bottomset sums to minus
+    its complement.  So the excesses are checked over every topset.
     """
     if not structure.is_square:
         raise ValueError("criterion requires a square structure")
-    # On a square structure the four forms are one test: the empty and the
-    # full set both sum to 0, the only topset holding the minimum Q is the
-    # full set, every nonempty topset holds the maximum 0, and a bottomset
-    # sums to minus its complement.  The names stay, since the tests and the
-    # selftest check each form against its own oracle.
-    if condition not in CONDITIONS:
-        raise ValueError("unknown condition %r" % (condition,))
     poset = structure.poset
     excess = np.array([structure.excess(e) for e in poset.elements], dtype=object)
     return bool(first_negative_topset(poset, excess.reshape(-1, 1))[0] < 0)

@@ -2,9 +2,12 @@
 
 import json
 import time
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from levelalg import __version__, gqposet
 from levelalg.cli import emit_report, main
 
 G3 = '{"family":"G3","a":4,"b":4,"i":8,"s":7}'
@@ -112,6 +115,35 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(out)["passed"]
 
+    def test_poset_tpp_fails_on_tap_alone(self, capsys):
+        # Flag the weight columns that sum to 0: every TAP column n * w - total
+        # does, a TPP column only when its total is 0.  So TAP fails and the
+        # command fails with TAP's witness, the topset {(0, 0)} in row 1.
+        real = gqposet.first_negative_topset
+
+        def zero_sums_fail(poset, w):
+            first = real(poset, w)
+            first[np.asarray(w).sum(axis=0) == 0] = 1
+            return first
+        with mock.patch.object(gqposet, "first_negative_topset", zero_sums_fail):
+            code, out, _ = run(capsys, "poset", "tpp", "--q", "2,2", "--trials", "3")
+        rep = json.loads(out)
+        assert code == 2 and not rep["passed"] and rep["trials"] == 3
+        assert rep["witness"] == [[0, 0]]
+
+    @pytest.mark.parametrize("first,witness", [
+        ([[-1, -1, -1], [-1, 2, -1]], [[0, 0], [1, 0]]),  # TAP of trial 1
+        ([[-1, 1, -1], [2, -1, -1]], [[0, 0], [1, 0]]),   # the first failing trial
+        ([[2, -1, -1], [1, -1, -1]], [[0, 0], [1, 0]]),   # TPP before TAP
+        ([[1, -1, -1], [2, -1, -1]], [[0, 0]]),
+    ])
+    def test_poset_tpp_witness(self, capsys, first, witness):
+        # rows 1 and 2 of the chain G_(2,0): {(0, 0)} and {(0, 0), (1, 0)}
+        with mock.patch.object(gqposet, "random_trials", lambda *a: np.array(first)):
+            code, out, _ = run(capsys, "poset", "tpp", "--q", "2,0", "--trials", "3")
+        assert code == 2
+        assert json.loads(out)["witness"] == witness
+
     def test_lmatrix_check(self, capsys, tmp_path):
         obj = {"entries": [[0, [1, "a"]], [[1, "b"], [1, "c"]]],
                "q": [1], "row_sizes": [1, 1], "col_sizes": [1, 1]}
@@ -171,9 +203,17 @@ class TestOtherCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_selftest_quick(self, capsys):
+        # every counter pinned: a change in the order of the random draws shows
         code, out, _ = run(capsys, "selftest", "--seed", "1")
         assert code == 0
-        assert json.loads(out)["passed"]
+        assert out == (
+            '{"command":"selftest","count":{"closed_form_checked":130,'
+            '"corrections_checked":41,"enumeration_checked":186,"failures":[],'
+            '"passed":true,"trials":200},"crop":{"failures":[],"passed":true,'
+            '"subspaces":20},"gq3":{"failures":[],"matrices":40,"nonsingular":24,'
+            '"passed":true},"p":32749,"passed":true,"seed":1,"splice":{"failures":[],'
+            '"passed":true},"tpp":{"failures":[],"passed":true,"phis_per_poset":20,'
+            '"posets":5},"version":"%s"}\n' % __version__)
 
 
 class TestPlumbing:

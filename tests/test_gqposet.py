@@ -17,7 +17,8 @@ from levelalg import cli, exactalg, gqposet
 from levelalg.gqposet import (MAX_WEIGHT, FinitePoset, GQPoset, OrderPreservingFn,
                               TopsetGuardExceeded, check_tap, check_tpp,
                               dominates, enumerate_topsets, first_negative_topset,
-                              random_order_preserving, topset_matrix)
+                              random_order_preserving, random_trials, topset,
+                              topset_matrix)
 
 
 def brute_topsets(poset):
@@ -244,12 +245,6 @@ class TestOrderPreserving:
         shift = int(rng.integers(0, sum(raw.values()) // len(p) + 1))
         assert phi.values == {e: raw[e] - shift for e in p.elements}
 
-    def test_shifted_has_zero_total(self):
-        p = GQPoset((2, 1))
-        phi = OrderPreservingFn({e: sum(p.q) - sum(e) for e in p.elements})
-        assert phi.shifted(p).total(p) == 0
-        assert phi((0, 0)) == Fraction(3)
-
     @given(seed=st.integers(0, 300))
     @settings(max_examples=60, deadline=None)
     def test_random_phi_is_valid(self, seed):
@@ -270,7 +265,11 @@ class TestTppTap:
             assert check_tpp(p, phi).passed
             tap = check_tap(p, phi)
             assert tap.passed
-            assert check_tpp(p, phi.shifted(p)).passed == tap.passed
+            # TAP of phi is TPP of phi minus its mean
+            mean = phi.total(p) / len(p)
+            shifted = OrderPreservingFn({e: v - mean for e, v in phi.values.items()})
+            assert shifted.total(p) == 0
+            assert check_tpp(p, shifted).passed == tap.passed
 
     def test_tap_fails_on_an_antichain(self):
         # two incomparable elements: TPP holds but the averaging property
@@ -309,7 +308,7 @@ class TestTppTap:
         for cov in covers:
             raw = Fraction(rng.randint(-9, 9) * scale, rng.choice([1, 2, 3, 6]))
             vals.append(min([raw] + [vals[c] for c in cov]))
-        shift = min(sum(vals), 0) / n
+        shift = Fraction(min(sum(vals), 0), n)
         poset = FinitePoset(range(n), covers)
         phi = OrderPreservingFn({e: v - shift for e, v in enumerate(vals)})
         with mock.patch.object(gqposet, "_CHECK_CELLS", cells):
@@ -346,3 +345,49 @@ class TestTppTap:
         assert first_negative_topset(chain3, w).tolist() == [3]
         assert first_negative_topset(chain3, w[:, [0, 0]] + [[0, 1], [0, 0], [0, 0]]
                                      ).tolist() == [3, -1]
+
+
+def arbitrary_fn(poset, rng):
+    """Integer values in [-9, 9], monotone or not: stands in for
+    random_order_preserving so that TPP and TAP can fail."""
+    return OrderPreservingFn(dict(zip(poset.elements, rng.integers(-9, 10, size=len(poset)).tolist())))
+
+
+class TestRandomTrials:
+    @pytest.mark.parametrize("q", [(), (4,), (2, 3), (1, 1, 1)])
+    def test_columns_match_the_checks(self, q):
+        # each column is what check_tpp and check_tap say of the same draw
+        p = GQPoset(q)
+        first = random_trials(p, exactalg.stream(5, "test-trials"), 70)
+        rng = exactalg.stream(5, "test-trials")
+        assert first.shape == (2, 70)
+        for tpp, tap in first.T.tolist():
+            phi = random_order_preserving(p, rng)
+            for row, check in ((tpp, check_tpp), (tap, check_tap)):
+                res = check(p, phi)
+                assert res.passed == (row < 0)
+                assert res.witness == (None if row < 0 else topset(p, row))
+
+    @given(n=st.integers(1, 7), trials=st.integers(0, 8), seed=st.integers(0, 10 ** 6))
+    @settings(max_examples=100, deadline=None)
+    def test_group_size_changes_nothing(self, n, trials, seed):
+        # Any DAG and any integer values, so both checks fail often: the
+        # same rows and the same generator state in groups of 1, 3 or all,
+        # each row the first topset the Fraction loop finds.
+        poset = random_dag_poset(random.Random(seed), n)
+        results = []
+        with mock.patch.object(gqposet, "random_order_preserving", arbitrary_fn):
+            for group in (1, 3, gqposet._TRIAL_GROUP):
+                rng = exactalg.stream(seed, "test-groups")
+                with mock.patch.object(gqposet, "_TRIAL_GROUP", group):
+                    first = random_trials(poset, rng, trials)
+                results.append((first.tolist(), rng.bit_generator.state))
+        assert results[0] == results[1] == results[2]
+        rng = exactalg.stream(seed, "test-groups")
+        mat = topset_matrix(poset)
+        for t in range(trials):
+            phi = arbitrary_fn(poset, rng)
+            for k, tap in enumerate((False, True)):
+                row = first[k, t]
+                got = None if row < 0 else frozenset(itertools.compress(poset.elements, mat[row]))
+                assert got == loop_check(poset, phi, tap)

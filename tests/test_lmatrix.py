@@ -54,6 +54,18 @@ def family_criterion(structure, condition="topsets"):
     return all(sign * sum(structure.excess(e) for e in f) >= 0 for f in families)
 
 
+def pairwise_moving_left(m):
+    """The variables whose every two occurrences, taken in row-major order,
+    have the second in a strictly lower row and strictly further left (oracle)."""
+    places = {}
+    for i, row in enumerate(m.entries):
+        for j, cell in enumerate(row):
+            if cell is not None:
+                places.setdefault(cell[1], []).append((i, j))
+    return {v for v, ps in places.items()
+            if all(r1 < r2 and c1 > c2 for (r1, c1), (r2, c2) in combinations(ps, 2))}
+
+
 class TestSymbolicMatrix:
     def test_json_roundtrip(self):
         grid = [[0, [2, "x"]], [[1, "y"], 0]]
@@ -91,6 +103,25 @@ class TestClassify:
         # x moves right going down
         m = M([[[1, "x"], 0], [0, [1, "x"]]])
         assert not classify(m).is_l_matrix
+
+    @given(rows=st.integers(1, 5), cols=st.integers(1, 5), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pairwise_oracle(self, rows, cols, data):
+        # a few variables over a random grid: L-matrices and others alike
+        cell = st.one_of(st.just(0), st.tuples(st.just(1), st.sampled_from("xyz")).map(list))
+        m = M(data.draw(st.lists(st.lists(cell, min_size=cols, max_size=cols),
+                                 min_size=rows, max_size=rows)))
+        cls = classify(m)
+        assert cls.moving_left_variables == pairwise_moving_left(m)
+        assert cls.is_l_matrix == (cls.moving_left_variables == m.variables)
+
+    def test_oracle_sees_l_matrices(self):
+        # the generator's L-matrices move left under the pairwise definition too
+        rng = exactalg.stream(0, "test-classify")
+        for _ in range(50):
+            m = random_l_matrix(random_gq_structure(rng), rng)
+            assert classify(m).is_l_matrix
+            assert pairwise_moving_left(m) == m.variables
 
 
 class TestBlockStructure:
@@ -177,23 +208,14 @@ class TestCriterion:
         with pytest.raises(ValueError):
             gq3_criterion(st)
 
-    def test_conditions_agree_and_match_det(self):
+    def test_matches_det(self):
         rng = exactalg.stream(3, "test-gq3")
         for _ in range(40):
             st = random_gq_structure(rng)
             m = random_l_matrix(st, rng)
             assert classify(m).is_l_matrix
             assert verify_gq_pattern(m, st)
-            crit = gq3_criterion(st)
-            assert crit == det_is_nonzero(m, "exact")
-            for cond in ("topsets_no_bottom", "bottomsets",
-                         "bottomsets_no_top"):
-                assert gq3_criterion(st, cond) == crit
-
-    def test_unknown_condition(self):
-        st = GQBlockStructure(GQPoset((1,)), {(0,): 1, (1,): 1}, {(0,): 1, (1,): 1})
-        with pytest.raises(ValueError, match="unknown condition"):
-            gq3_criterion(st, "topset")
+            assert gq3_criterion(st) == det_is_nonzero(m, "exact")
 
     @given(seed=st.integers(0, 10 ** 6), scale=st.sampled_from([1, 7, 2 ** 61]))
     @settings(max_examples=150, deadline=None)
@@ -203,7 +225,7 @@ class TestCriterion:
         s = GQBlockStructure(s.poset, {e: scale * x for e, x in s.r.items()},
                              {e: scale * x for e, x in s.c.items()})
         for cond in CONDITIONS:
-            assert gq3_criterion(s, cond) == family_criterion(s, cond)
+            assert gq3_criterion(s) == family_criterion(s, cond)
 
     @given(q=st.sampled_from(GQ_SHAPES + ((2, 2), (1, 1, 2))), data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -220,8 +242,10 @@ class TestCriterion:
         s = GQBlockStructure(poset, dict(zip(poset.elements, r)), dict(zip(poset.elements, c)))
         for cond in CONDITIONS:
             if s.is_square:
-                assert gq3_criterion(s, cond) == family_criterion(s, cond)
+                assert gq3_criterion(s) == family_criterion(s, cond)
             else:
-                for crit in (gq3_criterion, family_criterion):
-                    with pytest.raises(ValueError, match="square"):
-                        crit(s, cond)
+                with pytest.raises(ValueError, match="square"):
+                    family_criterion(s, cond)
+        if not s.is_square:
+            with pytest.raises(ValueError, match="square"):
+                gq3_criterion(s)
