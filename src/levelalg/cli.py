@@ -224,13 +224,12 @@ def _cmd_poset(args, p):
         return report, 0
     # a trial fails when TPP or TAP does; the witness is the first failing
     # trial's topset, TPP before TAP
-    first = gqposet.random_trials(poset, exactalg.stream(args.seed, "cli-tpp"), args.trials)
-    failed = first.T[first.T >= 0]
-    if failed.size:
-        report["witness"] = gqposet.topset(poset, int(failed[0])).to_json()
+    failed = gqposet.random_trials(poset, exactalg.stream(args.seed, "cli-tpp"), args.trials)
+    if failed:
+        report["witness"] = [list(e) for e in gqposet.topset(poset, failed[0][2])]
     report["trials"] = args.trials
-    report["passed"] = not failed.size
-    return report, 2 if failed.size else 0
+    report["passed"] = not failed
+    return report, 2 if failed else 0
 
 
 def _cmd_lmatrix(args, p):

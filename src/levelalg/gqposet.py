@@ -10,7 +10,9 @@ sum has nonnegative sum on every topset.  TAP (topset averaging): every
 nonempty topset's average is at least the global average.  Both hold on every
 G_Q; the checks are exhaustive over the enumerated topsets and report a
 violating witness when one exists (which requires a poset that is not a
-product of chains, e.g. an antichain).
+product of chains, e.g. an antichain).  A function on a poset is the
+sequence of its rational values (ints or Fractions) in element order, and a
+check's answer is a row of topset_matrix, the witness, or -1 when it passes.
 
 The topsets of a poset are generated once, as one boolean matrix with a
 row per topset in bitmask order (topset_matrix).  Everything else reads
@@ -25,7 +27,6 @@ random_trials checks both properties of many random functions at once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 
@@ -83,17 +84,6 @@ def dominates(i, j):
     return all(x <= y for x, y in zip(i, j))
 
 
-@dataclass(frozen=True)
-class ElementSet:
-    members: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-
-    def to_json(self):
-        return sorted(list(m) for m in self.members)
-
-
 def enumerate_topsets(poset):
     """The members of every upward-closed subset except the empty and the full set.
 
@@ -115,80 +105,51 @@ def enumerate_topsets(poset):
     return [members[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
-@dataclass(frozen=True)
-class OrderPreservingFn:
-    """A map element -> rational value, monotone for the domination order."""
+def is_order_preserving(poset, values):
+    """Are values, one per element in element order, monotone for the domination order?
 
-    values: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "values",
-                           {k: Fraction(v) for k, v in self.values.items()})
-
-    def validated(self, poset):
-        """Check monotonicity on the upper covers, enough by transitivity."""
-        for e, covers in zip(poset.elements, poset.covers):
-            for j in covers:
-                if self.values[poset.elements[j]] < self.values[e]:
-                    raise ValueError(
-                        "not order-preserving at %r >= %r"
-                        % (poset.elements[j], e))
-        return self
-
-    def __call__(self, e):
-        return self.values[e]
-
-    def total(self, poset):
-        return sum(self.values[e] for e in poset.elements)
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    passed: bool
-    witness: ElementSet | None = None
-
-
-def check_tpp(poset, phi):
-    """Does every topset have a nonnegative phi-sum?
-
-    Requires phi order-preserving with nonnegative total over the poset.
-    Returns a violating topset as witness on failure.
+    Checked on the upper covers, enough by transitivity.
     """
-    phi.validated(poset)
-    if phi.total(poset) < 0:
+    return all(values[j] >= v for v, cov in zip(values, poset.covers) for j in cov)
+
+
+def check_tpp(poset, values):
+    """The first topset_matrix row with a negative sum of values, or -1.
+
+    values are an order-preserving function's, in element order, with a
+    nonnegative total; a ValueError otherwise.
+    """
+    w = _integer_weights(poset, values)
+    if w.sum() < 0:
         raise ValueError("TPP requires a nonnegative total sum")
-    return _check(poset, _integer_weights(poset, phi))
+    return int(first_negative_topset(poset, w)[0])
 
 
-def check_tap(poset, phi):
-    """Is every nonempty topset's average at least the global average?
+def check_tap(poset, values):
+    """The first topset_matrix row whose average of values is below the mean, or -1.
 
-    With w = phi scaled to integers, total its sum and n the number of
-    elements, a topset T passes iff n * w(T) - total * |T| >= 0: TAP of phi
-    is TPP of n * w - total.
+    With w the values scaled to integers, total its sum and n the number of
+    elements, a topset T passes iff n * w(T) - total * |T| >= 0: TAP of the
+    function is TPP of n * w - total.  A ValueError unless order-preserving.
     """
-    phi.validated(poset)
-    w = _integer_weights(poset, phi)
-    total = sum(w)
-    return _check(poset, [len(w) * x - total for x in w])
+    w = _integer_weights(poset, values)
+    return int(first_negative_topset(poset, len(w) * w - w.sum())[0])
 
 
-def _integer_weights(poset, phi):
-    """phi on the element list, scaled by the lcm of its denominators to integers."""
-    values = [phi.values[e] for e in poset.elements]
+def _integer_weights(poset, values):
+    """Order-preserving values scaled by the lcm of their denominators, as an
+    n x 1 column of Python integers."""
+    values = [Fraction(v) for v in values]
+    if len(values) != len(poset) or not is_order_preserving(poset, values):
+        raise ValueError("not an order-preserving function on the poset")
     scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values]
-
-
-def _check(poset, w):
-    """Pass, or fail with the first topset in mask order whose w-sum is negative."""
-    row = first_negative_topset(poset, np.array(w, dtype=object).reshape(-1, 1))[0]
-    return CheckResult(True, None) if row < 0 else CheckResult(False, topset(poset, row))
+    return np.array([v.numerator * (scale // v.denominator) for v in values],
+                    dtype=object).reshape(-1, 1)
 
 
 def topset(poset, row):
-    """The members of row `row` of topset_matrix."""
-    return ElementSet(itertools.compress(poset.elements, topset_matrix(poset)[row].tolist()))
+    """The members of row `row` of topset_matrix, in element order."""
+    return list(itertools.compress(poset.elements, topset_matrix(poset)[row].tolist()))
 
 
 def first_negative_topset(poset, w):
@@ -197,11 +158,14 @@ def first_negative_topset(poset, w):
     w is an n x k array of integers, row i weighting elements[i].  The sums
     are exact: the matrix is multiplied by the columns still open, in chunks
     of _CHECK_CELLS cells of matrix and product together, in float64 when
-    every column's sum of |w| is below 2**53 (so every partial sum is an
-    integer below 2**53, in any order of addition), else in Python integers.
+    n * max|w| is below 2**53 (so every partial sum is an integer below
+    2**53, in any order of addition), else in Python integers.  An int64 or
+    object array is read as it is; other input is taken as Python integers.
     """
-    w = np.array(w, dtype=object)
-    exact = np.float64 if max(abs(w).sum(axis=0).tolist(), default=0) < 2 ** 53 else object
+    if not (isinstance(w, np.ndarray) and w.dtype in (np.int64, object)):
+        w = np.array(w, dtype=object)
+    bound = len(w) * max(int(w.max(initial=0)), -int(w.min(initial=0)))
+    exact = np.float64 if bound < 2 ** 53 else object
     w = w.astype(exact)
     tops = topset_matrix(poset)
     first = np.full(w.shape[1], -1)
@@ -269,37 +233,36 @@ def topset_matrix(poset):
 
 
 def random_order_preserving(poset, rng):
-    """A random integer-valued order-preserving function on G_Q with nonnegative total.
+    """A random order-preserving function on G_Q with nonnegative total, as int64 values.
 
     Built as phi(I) = sum of weights in [0, MAX_WEIGHT] over elements I
     dominates (inclusive), minus a constant capped so the total stays
     nonnegative, while typically leaving some negative values.
     """
     n = len(poset)
-    w = rng.integers(0, MAX_WEIGHT + 1, size=n).reshape([b + 1 for b in poset.q])
+    w = np.flip(rng.integers(0, MAX_WEIGHT + 1, size=n).reshape([b + 1 for b in poset.q]))
     for axis in range(w.ndim):  # suffix sums over J >= I in every coordinate
-        w = np.flip(np.flip(w, axis).cumsum(axis), axis)
-    raw = w.ravel().tolist()
-    shift = int(rng.integers(0, sum(raw) // n + 1))
-    return OrderPreservingFn({e: x - shift for e, x in zip(poset.elements, raw)})
+        w = w.cumsum(axis)
+    w = np.flip(w).ravel()
+    return w - int(rng.integers(0, int(w.sum()) // n + 1))
 
 
 def random_trials(poset, rng, trials):
-    """TPP and TAP of `trials` random_order_preserving draws from rng, in order.
+    """The TPP and TAP failures of `trials` random_order_preserving draws from rng.
 
-    A 2 x trials array: row 0 holds the first_negative_topset row of each
-    function w, row 1 that of its TAP weights n * w - total, -1 where the
-    check passes.  The functions are drawn and checked _TRIAL_GROUP at a
-    time, as the columns of [W | n * W - totals], so memory does not grow
-    with trials.
+    A list of (trial, check, row) in trial order, check 0 (TPP) before 1
+    (TAP): row is the first_negative_topset row of the function w, or of
+    its TAP weights n * w - total.  The functions are drawn and checked
+    _TRIAL_GROUP at a time, as the columns of [W | n * W - totals], so
+    memory grows with the failures, not with trials.
     """
     n = len(poset)
-    first = np.full((2, trials), -1)
+    failed = []
     for lo in range(0, trials, _TRIAL_GROUP):
         w = np.empty((n, min(_TRIAL_GROUP, trials - lo)), dtype=np.int64)
         for col in w.T:
-            phi = random_order_preserving(poset, rng)
-            col[:] = [int(phi(e)) for e in poset.elements]
-        cols = first_negative_topset(poset, np.hstack([w, n * w - w.sum(axis=0)]))
-        first[:, lo:lo + w.shape[1]] = cols.reshape(2, -1)
-    return first
+            col[:] = random_order_preserving(poset, rng)
+        rows = first_negative_topset(poset, np.hstack([w, n * w - w.sum(axis=0)])).reshape(2, -1).T
+        t, k = np.nonzero(rows >= 0)
+        failed += zip((lo + t).tolist(), k.tolist(), rows[t, k].tolist())
+    return failed

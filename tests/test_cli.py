@@ -132,14 +132,15 @@ class TestOtherCommands:
         assert rep["witness"] == [[0, 0]]
 
     @pytest.mark.parametrize("first,witness", [
-        ([[-1, -1, -1], [-1, 2, -1]], [[0, 0], [1, 0]]),  # TAP of trial 1
-        ([[-1, 1, -1], [2, -1, -1]], [[0, 0], [1, 0]]),   # the first failing trial
-        ([[2, -1, -1], [1, -1, -1]], [[0, 0], [1, 0]]),   # TPP before TAP
-        ([[1, -1, -1], [2, -1, -1]], [[0, 0]]),
+        ([(1, 1, 2)], [[0, 0], [1, 0]]),              # TAP of trial 1
+        ([(0, 1, 2), (1, 0, 1)], [[0, 0], [1, 0]]),   # the first failing trial
+        ([(0, 0, 2), (0, 1, 1)], [[0, 0], [1, 0]]),   # TPP before TAP
+        ([(0, 0, 1), (0, 1, 2)], [[0, 0]]),
     ])
     def test_poset_tpp_witness(self, capsys, first, witness):
+        # first: random_trials' (trial, check, row) failures, in its order;
         # rows 1 and 2 of the chain G_(2,0): {(0, 0)} and {(0, 0), (1, 0)}
-        with mock.patch.object(gqposet, "random_trials", lambda *a: np.array(first)):
+        with mock.patch.object(gqposet, "random_trials", lambda *a: first):
             code, out, _ = run(capsys, "poset", "tpp", "--q", "2,0", "--trials", "3")
         assert code == 2
         assert json.loads(out)["witness"] == witness

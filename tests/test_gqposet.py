@@ -1,8 +1,8 @@
 """The bounded-exponent poset, topset enumeration, and TPP/TAP checks."""
 
-import itertools
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import chain, combinations
 from math import comb, prod
@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelalg import cli, exactalg, gqposet
-from levelalg.gqposet import (MAX_WEIGHT, FinitePoset, GQPoset, OrderPreservingFn,
-                              TopsetGuardExceeded, check_tap, check_tpp,
-                              dominates, enumerate_topsets, first_negative_topset,
+from levelalg.gqposet import (MAX_WEIGHT, FinitePoset, GQPoset, TopsetGuardExceeded,
+                              check_tap, check_tpp, dominates, enumerate_topsets,
+                              first_negative_topset, is_order_preserving,
                               random_order_preserving, random_trials, topset,
                               topset_matrix)
 
@@ -66,15 +66,20 @@ def macmahon(a, b, c):
     return num // den
 
 
-def loop_check(poset, phi, tap):
-    """The first topset in mask order failing TPP or TAP, by Fraction sums (oracle)."""
-    mean = phi.total(poset) / len(poset)
+def loop_check(poset, values, tap):
+    """The members of the first topset in mask order failing TPP or TAP of
+    values in element order, by Fraction sums (oracle)."""
+    mean = sum(values, Fraction(0)) / len(poset)
     for row in topset_matrix(poset):
-        members = [e for e, x in zip(poset.elements, row) if x]
-        s = sum((phi(e) for e in members), Fraction(0))
-        if s < mean * len(members) if tap else s < 0:
-            return frozenset(members)
+        s = sum((v for v, x in zip(values, row) if x), Fraction(0))
+        if s < mean * int(row.sum()) if tap else s < 0:
+            return [e for e, x in zip(poset.elements, row) if x]
     return None
+
+
+def witness(poset, row):
+    """The members of a check's answer row, None for -1."""
+    return None if row < 0 else topset(poset, row)
 
 
 class TestPosetStructure:
@@ -212,9 +217,14 @@ class TestTopsets:
 class TestOrderPreserving:
     def test_validation(self):
         p = GQPoset((1,))
-        OrderPreservingFn({(0,): 3, (1,): 1}).validated(p)
-        with pytest.raises(ValueError):
-            OrderPreservingFn({(0,): 1, (1,): 3}).validated(p)
+        assert is_order_preserving(p, [3, 1])
+        assert not is_order_preserving(p, [1, 3])
+        # the checks refuse what is not an order-preserving function on p
+        for check in (check_tpp, check_tap):
+            assert check(p, [Fraction(3, 2), 1]) == -1
+            for values in ([1, 3], [3], [3, 1, 0]):
+                with pytest.raises(ValueError, match="not an order-preserving"):
+                    check(p, values)
 
     @given(q=st.lists(st.integers(0, 2), max_size=3), data=st.data())
     @settings(max_examples=80, deadline=None)
@@ -228,11 +238,7 @@ class TestOrderPreserving:
         values = dict(zip(p.elements, vals))
         monotone = all(values[a] >= values[b]
                        for a in p.elements for b in p.elements if dominates(a, b))
-        try:
-            OrderPreservingFn(values).validated(p)
-            assert monotone
-        except ValueError:
-            assert not monotone
+        assert is_order_preserving(p, vals) == monotone
 
     @pytest.mark.parametrize("q", [(), (3,), (2, 1), (1, 2, 2), (2, 0, 3)])
     def test_random_phi_is_a_down_set_sum(self, q):
@@ -243,7 +249,8 @@ class TestOrderPreserving:
         w = dict(zip(p.elements, rng.integers(0, MAX_WEIGHT + 1, size=len(p)).tolist()))
         raw = {e: sum(w[x] for x in p.elements if dominates(e, x)) for e in p.elements}
         shift = int(rng.integers(0, sum(raw.values()) // len(p) + 1))
-        assert phi.values == {e: raw[e] - shift for e in p.elements}
+        assert phi.dtype == np.int64 and phi.shape == (len(p),)
+        assert phi.tolist() == [raw[e] - shift for e in p.elements]
 
     @given(seed=st.integers(0, 300))
     @settings(max_examples=60, deadline=None)
@@ -251,8 +258,8 @@ class TestOrderPreserving:
         p = GQPoset((2, 2))
         rng = exactalg.stream(seed, "test-phi")
         phi = random_order_preserving(p, rng)
-        phi.validated(p)
-        assert phi.total(p) >= 0
+        assert is_order_preserving(p, phi)
+        assert phi.sum() >= 0
 
 
 class TestTppTap:
@@ -262,36 +269,35 @@ class TestTppTap:
         rng = exactalg.stream(0, "test-tpp")
         for _ in range(25):
             phi = random_order_preserving(p, rng)
-            assert check_tpp(p, phi).passed
+            assert check_tpp(p, phi) == -1
             tap = check_tap(p, phi)
-            assert tap.passed
+            assert tap == -1
             # TAP of phi is TPP of phi minus its mean
-            mean = phi.total(p) / len(p)
-            shifted = OrderPreservingFn({e: v - mean for e, v in phi.values.items()})
-            assert shifted.total(p) == 0
-            assert check_tpp(p, shifted).passed == tap.passed
+            mean = Fraction(int(phi.sum()), len(p))
+            shifted = [v - mean for v in phi.tolist()]
+            assert sum(shifted) == 0
+            assert check_tpp(p, shifted) == tap
 
     def test_tap_fails_on_an_antichain(self):
         # two incomparable elements: TPP holds but the averaging property
         # fails, showing the chain-product structure matters
         p = FinitePoset(["a", "b"], [(), ()])
-        phi = OrderPreservingFn({"a": 0, "b": 2})
-        assert check_tpp(p, phi).passed
-        tap = check_tap(p, phi)
-        assert not tap.passed
-        assert tap.witness is not None and tap.witness.members == {"a"}
+        assert check_tpp(p, [0, 2]) == -1
+        tap = check_tap(p, [0, 2])
+        assert tap >= 0 and topset(p, tap) == ["a"]
 
     def test_tpp_requires_nonnegative_total(self):
         p = GQPoset((1,))
         with pytest.raises(ValueError):
-            check_tpp(p, OrderPreservingFn({(0,): 0, (1,): -3}))
+            check_tpp(p, [0, -3])
 
     def test_witness_reported(self):
         p = FinitePoset(["a", "b"], [(), ()])
-        phi = OrderPreservingFn({"a": -1, "b": 1})
-        res = check_tpp(p, phi)
-        assert not res.passed
-        assert res.witness.members == {"a"}
+        res = check_tpp(p, [-1, 1])
+        assert res >= 0 and topset(p, res) == ["a"]
+        # members in element order, not sorted: "z" covers "a"
+        p = FinitePoset(["z", "a", "m"], [(), [0], ()])
+        assert topset(p, check_tpp(p, [0, -1, 2])) == ["z", "a"]
 
     @given(n=st.integers(1, 7), seed=st.integers(0, 10 ** 6),
            scale=st.sampled_from([1, 2 ** 44, 2 ** 47, 2 ** 62]),
@@ -310,12 +316,10 @@ class TestTppTap:
             vals.append(min([raw] + [vals[c] for c in cov]))
         shift = Fraction(min(sum(vals), 0), n)
         poset = FinitePoset(range(n), covers)
-        phi = OrderPreservingFn({e: v - shift for e, v in enumerate(vals)})
+        phi = [v - shift for v in vals]
         with mock.patch.object(gqposet, "_CHECK_CELLS", cells):
             for check, tap in ((check_tpp, False), (check_tap, True)):
-                got, want = check(poset, phi), loop_check(poset, phi, tap)
-                assert got.passed == (want is None)
-                assert (got.witness and got.witness.members) == want
+                assert witness(poset, check(poset, phi)) == loop_check(poset, phi, tap)
 
     @given(n=st.integers(1, 7), k=st.integers(2, 5), seed=st.integers(0, 10 ** 6),
            scale=st.sampled_from([1, 2 ** 50, 2 ** 62]),
@@ -325,17 +329,17 @@ class TestTppTap:
         # each column of one call finds what the Fraction loop finds for it alone
         rng = random.Random(seed)
         poset = random_dag_poset(rng, n)
-        phis = [OrderPreservingFn({e: rng.randint(-9, 9) * scale for e in poset.elements})
-                for _ in range(k)]
-        w = np.array([[int(phi(e)) for phi in phis] for e in poset.elements],
-                     dtype=object).reshape(n, k)
+        phis = [[rng.randint(-9, 9) * scale for _ in range(n)] for _ in range(k)]
+        w = np.array(phis, dtype=object).T
         with mock.patch.object(gqposet, "_CHECK_CELLS", cells):
             first = first_negative_topset(poset, w)
-        mat = topset_matrix(poset)
+            # the same rows from int64 input, and from nested lists
+            if scale < 2 ** 62:
+                assert first.tolist() == first_negative_topset(poset, w.astype(np.int64)).tolist()
+            assert first.tolist() == first_negative_topset(poset, w.tolist()).tolist()
         assert first.shape == (k,)
         for row, phi in zip(first.tolist(), phis):
-            got = None if row < 0 else frozenset(itertools.compress(poset.elements, mat[row]))
-            assert got == loop_check(poset, phi, False)
+            assert witness(poset, row) == loop_check(poset, phi, False)
 
     def test_abs_sum_past_int64(self):
         # Entries fit int64 but their |w| sum is 2^64 - 1: the full chain
@@ -345,49 +349,83 @@ class TestTppTap:
         assert first_negative_topset(chain3, w).tolist() == [3]
         assert first_negative_topset(chain3, w[:, [0, 0]] + [[0, 1], [0, 0], [0, 0]]
                                      ).tolist() == [3, -1]
+        # nested lists that numpy would read as float64, losing the -1
+        assert first_negative_topset(chain3, [[2 ** 63], [-1], [-2 ** 63]]).tolist() == [3]
+
+    def test_int64_weights_stay_int64(self):
+        # int64 weights are bounded and multiplied without a copy to Python
+        # integers: the traced peak stays within 3 times the weights' bytes
+        p = GQPoset((63,))
+        w = np.random.default_rng(0).integers(-40000, 80000, size=(64, 4096))
+        with mock.patch.object(gqposet, "_CHECK_CELLS", 1 << 16):
+            first = first_negative_topset(p, w)
+            tracemalloc.start()
+            try:
+                assert first_negative_topset(p, w).tolist() == first.tolist()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 3 * w.nbytes
 
 
 def arbitrary_fn(poset, rng):
     """Integer values in [-9, 9], monotone or not: stands in for
     random_order_preserving so that TPP and TAP can fail."""
-    return OrderPreservingFn(dict(zip(poset.elements, rng.integers(-9, 10, size=len(poset)).tolist())))
+    return rng.integers(-9, 10, size=len(poset))
 
 
 class TestRandomTrials:
     @pytest.mark.parametrize("q", [(), (4,), (2, 3), (1, 1, 1)])
     def test_columns_match_the_checks(self, q):
-        # each column is what check_tpp and check_tap say of the same draw
+        # no failures, as check_tpp and check_tap say of the same draws,
+        # and the same generator state after them
         p = GQPoset(q)
-        first = random_trials(p, exactalg.stream(5, "test-trials"), 70)
+        trials_rng = exactalg.stream(5, "test-trials")
+        assert random_trials(p, trials_rng, 70) == []
         rng = exactalg.stream(5, "test-trials")
-        assert first.shape == (2, 70)
-        for tpp, tap in first.T.tolist():
+        for _ in range(70):
             phi = random_order_preserving(p, rng)
-            for row, check in ((tpp, check_tpp), (tap, check_tap)):
-                res = check(p, phi)
-                assert res.passed == (row < 0)
-                assert res.witness == (None if row < 0 else topset(p, row))
+            assert check_tpp(p, phi) == check_tap(p, phi) == -1
+        assert rng.bit_generator.state == trials_rng.bit_generator.state
 
     @given(n=st.integers(1, 7), trials=st.integers(0, 8), seed=st.integers(0, 10 ** 6))
     @settings(max_examples=100, deadline=None)
     def test_group_size_changes_nothing(self, n, trials, seed):
         # Any DAG and any integer values, so both checks fail often: the
-        # same rows and the same generator state in groups of 1, 3 or all,
-        # each row the first topset the Fraction loop finds.
+        # same failures and the same generator state in groups of 1, 3 or
+        # all, each the first topset the Fraction loop finds, listed in
+        # trial order with TPP (check 0) before TAP (check 1).
         poset = random_dag_poset(random.Random(seed), n)
         results = []
         with mock.patch.object(gqposet, "random_order_preserving", arbitrary_fn):
             for group in (1, 3, gqposet._TRIAL_GROUP):
                 rng = exactalg.stream(seed, "test-groups")
                 with mock.patch.object(gqposet, "_TRIAL_GROUP", group):
-                    first = random_trials(poset, rng, trials)
-                results.append((first.tolist(), rng.bit_generator.state))
+                    failed = random_trials(poset, rng, trials)
+                results.append((failed, rng.bit_generator.state))
         assert results[0] == results[1] == results[2]
         rng = exactalg.stream(seed, "test-groups")
-        mat = topset_matrix(poset)
+        want = []
         for t in range(trials):
-            phi = arbitrary_fn(poset, rng)
+            phi = arbitrary_fn(poset, rng).tolist()
             for k, tap in enumerate((False, True)):
-                row = first[k, t]
-                got = None if row < 0 else frozenset(itertools.compress(poset.elements, mat[row]))
-                assert got == loop_check(poset, phi, tap)
+                members = loop_check(poset, phi, tap)
+                if members is not None:
+                    want.append((t, k, members))
+        assert [(t, k, topset(poset, row)) for t, k, row in failed] == want
+        assert all(type(x) is int for f in failed for x in f)
+
+    def test_memory_does_not_grow_with_trials(self):
+        # only failures are kept: the traced peak of 6400 passing trials is
+        # within twice that of 64
+        p = GQPoset((1,))
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                assert random_trials(p, exactalg.stream(0, "test-memory"), trials) == []
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        peak(64)
+        assert peak(6400) <= 2 * peak(64)

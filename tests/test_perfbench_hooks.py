@@ -1,0 +1,35 @@
+"""The names the benchmark's traced run wraps still exist in levelalg.
+
+perfbench/spans.py replaces levelalg's public functions by tracing
+wrappers, looked up by name when `perfbench/run.py --trace 1` starts.  A
+rename or a deletion in levelalg would crash that run; this catches it in
+the test suite.  spans.py is loaded by its path, as it is.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import levelalg
+import levelalg.cli  # noqa: F401  (the benchmark's child imports it too)
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def test_targets_resolve():
+    spans = load_spans()
+    assert spans.TARGETS
+    for mod_name, attr, *_ in spans.TARGETS:
+        assert callable(getattr(getattr(levelalg, mod_name), attr)), (mod_name, attr)
+
+
+def test_wrapped_methods_exist():
+    # Tracer.install also wraps these two by hand
+    assert callable(levelalg.gqposet.GQPoset.__init__)
+    assert callable(levelalg.apolarity.HomogeneousSubspace.from_json.__func__)
