@@ -383,8 +383,15 @@ class HilbertVector:
 
 
 def hilbert_vector(w, rng=None):
-    """Hilbert values for all degrees 0..j, or a [lo, hi] subrange."""
+    """Hilbert values for all degrees 0..j, or a [lo, hi] range.
+
+    h is 0 outside 0..j, so a range of more than j + 1 degrees is refused
+    with a ValueError before anything is computed.
+    """
     lo, hi = (0, w.j) if rng is None else rng
+    if hi - lo > w.j:
+        raise ValueError("range %d..%d has %d degrees, more than j + 1 = %d"
+                         % (lo, hi, hi - lo + 1, w.j + 1))
     if hi < lo:
         return HilbertVector(w.j, lo, ())
     return HilbertVector(w.j, lo,

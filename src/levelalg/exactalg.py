@@ -20,6 +20,12 @@ eliminate them:
   for p <= FLOAT_PRIME_LIMIT and a shorter side over PANEL; the rest of the
   matrix is reduced only when its next update could pass 2^53.  A matrix
   with fewer rows is one panel, which blocking would only slow down.
+  `rank` hands it the rows in order of their leading (first nonzero)
+  column, and a panel is eliminated only over the rows that lead inside or
+  left of it: the rest are still zero in every column a pivot has taken so
+  far, so they are left alone until their panel.  The G_Q block pattern
+  makes the L-matrices and the derivative matrices of boxed generators
+  such staircases, and there this skips most of the work.
 
 `json_int` is the integer check that every JSON parser applies to its numbers.
 """
@@ -153,19 +159,27 @@ def _reduce(x, p):
     x[...] = t
 
 
-def _rank_blocked(a, p):
+def _rank_blocked(a, p, lead):
     """Rank of a float64 matrix of residues mod p <= FLOAT_PRIME_LIMIT, eliminated in place.
 
-    Each step copies the next PANEL columns out as a contiguous panel and
-    eliminates it left-looking: a column is brought up to date only when it
-    is reached, by two matrix-vector products with the multipliers L of the
-    panel's t earlier pivots, y = L11^-1 v[:t] for its pivot-row entries and
-    v[t:] - L21 y for the rest.  L is unit lower, so L11^-1 grows by the row
-    -l L11^-1 per pivot, l being the new pivot row's multipliers.  Row swaps
-    move the whole row of the panel, of L and of the trailing columns.  The
-    panel's t pivot rows give the trailing pivot rows U12 = L11^-1 A12, and
-    the rest of the matrix is updated as A22 - L21 U12 by one matmul per
-    chunk of rows.
+    lead[i] is at most the first column where row i is nonzero, and lead
+    is nondecreasing (`_staircase` writes the rows so).  Panel [c0, c1)
+    works only on the rows [r, act) that are not pivots yet and have
+    lead < c1.  A later row is zero left of c1, in every column where a
+    pivot has been taken, so eliminating it against those pivots would
+    leave it as it is: it is neither read nor written until its panel.
+
+    Each step copies the next PANEL columns of the active rows out as a
+    contiguous panel and eliminates it left-looking: a column is brought up
+    to date only when it is reached, by two matrix-vector products with the
+    multipliers L of the panel's t earlier pivots, y = L11^-1 v[:t] for its
+    pivot-row entries and v[t:] - L21 y for the rest.  L is unit lower, so
+    L11^-1 grows by the row -l L11^-1 per pivot, l being the new pivot
+    row's multipliers.  Row swaps, all among the active rows, move the
+    whole row of the panel, of L and of the trailing columns.  The panel's
+    t pivot rows give the trailing pivot rows U12 = L11^-1 A12, and the
+    other active rows are updated as A22 - L21 U12 by one matmul per chunk
+    of rows.
 
     Every product sums at most PANEL products of residues, so its operands
     are reduced first: the panel when it is copied out, the pivot rows
@@ -173,7 +187,8 @@ def _rank_blocked(a, p):
     t (p - 1)^2 to a bound on its magnitude, and it is reduced only before
     an update that could take that bound to 2^53, where float64 integers
     stop being exact.  With p = 32749 that never happens; near
-    FLOAT_PRIME_LIMIT it happens before every update.
+    FLOAT_PRIME_LIMIT it happens before every update.  A row that joins
+    late still holds its residues, within any such bound.
     """
     m, n = a.shape
     r, bound, step = 0, p - 1, (p - 1) ** 2
@@ -181,14 +196,14 @@ def _rank_blocked(a, p):
         if r == m:
             break
         c1 = min(c0 + PANEL, n)
-        r0 = r
-        panel = a[r0:, c0:c1].T.copy()  # one contiguous row per column
+        r0, act = r, int(np.searchsorted(lead, c1))
+        panel = a[r0:act, c0:c1].T.copy()  # one contiguous row per column
         _reduce(panel, p)
         low = np.zeros(panel.shape)  # row t: the multipliers of pivot t
         inv = np.zeros((c1 - c0, c1 - c0))  # L11^-1
         t = 0
         for v in panel:
-            if r == m:
+            if r == act:
                 break
             if t:
                 y = inv[:t, :t] @ v[:t]
@@ -214,7 +229,7 @@ def _rank_blocked(a, p):
             inv[t, t] = 1
             t += 1
             r += 1
-        if t == 0 or c1 == n or r == m:
+        if t == 0 or c1 == n or r == act:
             continue
         a12 = a[r0:r, c1:]
         _reduce(a12, p)
@@ -223,12 +238,31 @@ def _rank_blocked(a, p):
         l21 = low[:t, t:].T
         stale = bound + t * step >= 2 ** 53
         bound = (p - 1 if stale else bound) + t * step
-        for s in range(r, m, _CHUNK_ROWS):
-            block = a[s:s + _CHUNK_ROWS, c1:]
+        for s in range(r, act, _CHUNK_ROWS):
+            e = min(s + _CHUNK_ROWS, act)
+            block = a[s:e, c1:]
             if stale:
                 _reduce(block, p)
-            block -= l21[s - r:s - r + _CHUNK_ROWS] @ u12
+            block -= l21[s - r:e - r] @ u12
     return r
+
+
+def _staircase(a, p):
+    """(b, lead): the rows of a reduced mod p into float64, in order of lead.
+
+    lead is each row's first nonzero column in a as given, sorted stably;
+    an entry that is a nonzero multiple of p only makes it smaller, which
+    `_rank_blocked` allows.  Both passes go _CHUNK_ROWS rows at a time, so
+    the only full-size array made is b.
+    """
+    lead = np.empty(a.shape[0], dtype=np.int64)
+    for s in range(0, a.shape[0], _CHUNK_ROWS):
+        lead[s:s + _CHUNK_ROWS] = (a[s:s + _CHUNK_ROWS] != 0).argmax(axis=1)
+    order = np.argsort(lead, kind="stable")
+    b = np.empty(a.shape, dtype=np.float64)
+    for s in range(0, a.shape[0], _CHUNK_ROWS):
+        np.mod(a[order[s:s + _CHUNK_ROWS]], p, out=b[s:s + _CHUNK_ROWS])
+    return b, lead[order]
 
 
 def rank(mat, p=DEFAULT_PRIME):
@@ -238,8 +272,10 @@ def rank(mat, p=DEFAULT_PRIME):
     support box can be mostly such lines.  A tall matrix is eliminated as its
     transpose (rank(A) = rank(A^T)), so the rows are the shorter side.  That
     side over PANEL, and p at most FLOAT_PRIME_LIMIT, send the copy to the
-    blocked float64 kernel; every other matrix goes to `_eliminate`, whose
-    loop takes at most 2 * rank + 1 steps.
+    blocked float64 kernel, its rows in order of their leading column so
+    that each panel is eliminated only over the rows that have started;
+    every other matrix goes to `_eliminate`, whose loop takes at most
+    2 * rank + 1 steps.
     """
     p = check_prime(p)
     a = np.asarray(mat, dtype=np.int64)
@@ -253,9 +289,8 @@ def rank(mat, p=DEFAULT_PRIME):
     if a.shape[0] > a.shape[1]:
         a = a.T
     if a.shape[0] > PANEL and p <= FLOAT_PRIME_LIMIT:
-        b = np.empty(a.shape, dtype=np.float64)
-        np.mod(a, p, out=b)
-        return _rank_blocked(b, p)
+        b, lead = _staircase(a, p)
+        return _rank_blocked(b, p, lead)
     return _eliminate(np.mod(a, p, order="C"), p)[0]
 
 

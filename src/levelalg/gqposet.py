@@ -159,7 +159,8 @@ def first_negative_topset(poset, w):
     are exact: the matrix is multiplied by the columns still open, in chunks
     of _CHECK_CELLS cells of matrix and product together, in float64 when
     n * max|w| is below 2**53 (so every partial sum is an integer below
-    2**53, in any order of addition), else in Python integers.  An int64 or
+    2**53, in any order of addition), else in Python integers.  The open
+    columns are sliced out again only after a chunk closes one.  An int64 or
     object array is read as it is; other input is taken as Python integers.
     """
     if not (isinstance(w, np.ndarray) and w.dtype in (np.int64, object)):
@@ -174,10 +175,11 @@ def first_negative_topset(poset, w):
     for lo in range(0, len(tops), step):
         if not cols.size:
             break
-        neg = tops[lo:lo + step].astype(exact) @ w[:, cols] < 0
+        neg = tops[lo:lo + step].astype(exact) @ w < 0
         hit = neg.any(axis=0)
-        first[cols[hit]] = lo + neg.argmax(axis=0)[hit]
-        cols = cols[~hit]
+        if hit.any():
+            first[cols[hit]] = lo + neg.argmax(axis=0)[hit]
+            cols, w = cols[~hit], w[:, ~hit]
     return first
 
 

@@ -5,11 +5,22 @@ of a single variable.  A variable "moves to the left" when, for any two of
 its occurrences, the one in the lower row sits strictly further left; an
 L-matrix is a PV-matrix all of whose variables move left.
 
-A square L-matrix with G_Q block pattern (block rows indexed by G_Q in
-descending lexicographic order, block columns in ascending order, block
-(I, J) all-nonzero exactly when I dominates J) has nonzero determinant iff
-the block excesses A_I = r_I - c_I sum to a nonnegative value over every
-nonempty proper topset of G_Q.
+The paper's nonsingularity criterion for a square L-matrix with G_Q block
+pattern (block rows indexed by G_Q in descending lexicographic order, block
+columns in ascending order, block (I, J) all-nonzero exactly when I
+dominates J) asks that the block excesses A_I = r_I - c_I sum to a
+nonnegative value over every nonempty proper topset of G_Q.  It is not an
+"iff" for every such matrix.  The cropped symbolic derivative matrix of
+s = 2 forms with r = 3, j = 5, box (2, 2, 2) and d = 4 is a 6 x 6 L-matrix
+with the pattern and the criterion holds, yet its determinant is the zero
+polynomial: the derivative factors n(J, E) cancel.  Measured scope, over
+every square cropped derivative matrix of at most 7 rows with r <= 4,
+j <= 8 and s <= 3: where some coordinate is free (fewer bounds than r, or
+a bound >= j), the criterion and a nonzero determinant agreed in all 3925
+cases; where every coordinate is bounded below j, they agreed in 7040 and
+the criterion held over a zero determinant in 100.  The criterion was
+never false on a derivative matrix, and on random_l_matrix draws, whose
+factors are random, no disagreement has been found.
 """
 
 from __future__ import annotations

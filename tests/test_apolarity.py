@@ -246,6 +246,10 @@ class TestHilbert:
         assert hv.start == 2 and hv.values == (3, 3, 2)
         assert list(hv.degrees) == [2, 3, 4]
         assert hv.to_json() == {"j": 5, "start": 2, "h": [3, 3, 2]}
+        assert hilbert_vector(w, (-3, 2)).values == (0, 0, 0, 1, 2, 3)
+        assert hilbert_vector(w, (4, 3)).values == ()
+        with pytest.raises(ValueError, match="more than j"):
+            hilbert_vector(w, (-3, 3))
 
     @given(seed=st.integers(0, 200), r=st.integers(2, 3),
            j=st.integers(2, 6), s=st.integers(1, 3))

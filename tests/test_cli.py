@@ -86,6 +86,22 @@ class TestHilbert:
         assert code == 0
         assert "d,h" in out and "1,2" in out and "3,3" in out
 
+    def test_range_past_j_plus_1_degrees_refused(self, capsys, tmp_path):
+        # h is 0 outside 0..j: a wider range is refused before any value is
+        # computed, and one of j + 1 degrees anywhere is still answered.
+        obj = {"r": 2, "j": 5,
+               "generators": [[{"monomial": [3, 2], "coeff": 1}]]}
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(obj))
+        for span in ("0..6", "-1..5", "-100000000..0", "0..100000000"):
+            code, out, err = run(capsys, "hilbert", str(path), "--range=" + span)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: range ") and err.count("\n") == 1
+        for span, h in (("0..5", [1, 2, 3, 3, 2, 1]), ("3..8", [3, 2, 1, 0, 0, 0]),
+                        ("-5..0", [0, 0, 0, 0, 0, 1]), ("4..2", [])):
+            code, out, _ = run(capsys, "hilbert", str(path), "--range=" + span)
+            assert code == 0 and json.loads(out)["h"] == h
+
     def test_bad_file_exits_1(self, capsys):
         code, _, err = run(capsys, "hilbert", "/nonexistent.json")
         assert code == 1 and "error" in err

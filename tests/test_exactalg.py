@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelalg import apolarity, exactalg, families
-from levelalg.lmatrix import SymbolicMatrix
+from levelalg.gqposet import GQPoset
+from levelalg.lmatrix import GQBlockStructure, SymbolicMatrix
 
 # The largest prime the float64 kernel takes, and the first it refuses.
 LAST_FLOAT_PRIME = 11863279
@@ -60,8 +61,9 @@ def oracle_rank(mat, p):
 
 
 def blocked_rank(mat, p):
-    """Rank of mat mod p by the float64 blocked kernel, on a reduced copy."""
-    return exactalg._rank_blocked(np.mod(np.asarray(mat, dtype=np.int64), p).astype(np.float64), p)
+    """Rank of mat mod p by the float64 blocked kernel, rows in leading-column order."""
+    b, lead = exactalg._staircase(np.asarray(mat, dtype=np.int64), p)
+    return exactalg._rank_blocked(b, p, lead)
 
 
 def with_dead_stretches(rows, cols, dense, seed, p):
@@ -83,6 +85,27 @@ def with_dead_stretches(rows, cols, dense, seed, p):
     if rows > 1 and rng.random() < 0.5:
         a[-1] = a[int(rng.integers(0, rows - 1))] * int(rng.integers(0, p)) % p
     return a
+
+
+def assert_all_ways(m, p, want=None):
+    """The int64 kernel's rank of m, checked against want (if given), rank
+    of m and m^T, and the blocked kernel on each orientation as it is,
+    where p lets it run."""
+    got = oracle_rank(m, p)
+    assert want is None or got == want
+    if p <= exactalg.FLOAT_PRIME_LIMIT:
+        assert blocked_rank(m, p) == blocked_rank(m.T, p) == got
+    # rank drops all-zero lines, then takes the blocked kernel when the
+    # shorter side left is over PANEL and p is at most the limit
+    short = min(m.any(axis=1).sum(), m.any(axis=0).sum())
+    with mock.patch.object(exactalg, "_rank_blocked", wraps=exactalg._rank_blocked) as spy:
+        assert exactalg.rank(m, p) == exactalg.rank(m.T, p) == got
+    assert spy.called == (short > exactalg.PANEL and p <= exactalg.FLOAT_PRIME_LIMIT)
+    return got
+
+
+def shuffled_rows(m, seed):
+    return m[exactalg.stream(seed, "shuffle").permutation(len(m))]
 
 
 def trial_division(n):
@@ -207,17 +230,7 @@ class TestRank:
         if sparse:
             c[:, exactalg.stream(seed, "blocked-zero").random(cols) < 1 / 3] = 0
         m = b @ c % p  # int64 is exact: k * (p - 1)^2 < 2^63
-        want = oracle_rank(m, p)
-        assert want <= min(k, rows, cols)
-        if p <= exactalg.FLOAT_PRIME_LIMIT:
-            assert blocked_rank(m, p) == want
-        # rank drops all-zero lines, then takes the blocked kernel when the
-        # shorter side left is over PANEL and p is at most the limit
-        short = min(m.any(axis=1).sum(), m.any(axis=0).sum())
-        with mock.patch.object(exactalg, "_rank_blocked",
-                               wraps=exactalg._rank_blocked) as spy:
-            assert exactalg.rank(m, p) == exactalg.rank(m.T, p) == want
-        assert spy.called == (short > exactalg.PANEL and p <= exactalg.FLOAT_PRIME_LIMIT)
+        assert assert_all_ways(m, p) <= min(k, rows, cols)
 
     def test_blocked_on_a_derivative_matrix(self):
         # G2 (a, b, i, s) = (4, 6, 14, 2) at degree 14: 601 x 441, rank 433
@@ -280,6 +293,83 @@ class TestRank:
         for fn in (exactalg.rank, exactalg.det):
             with pytest.raises(ValueError):
                 fn(m, 4294967311)
+
+
+class TestStaircase:
+    """The blocked kernel on rows that start late: each panel eliminates only
+    the rows whose leading column is left of its end."""
+
+    @pytest.mark.parametrize("p", [2, 3, 97, exactalg.DEFAULT_PRIME, LAST_FLOAT_PRIME])
+    def test_rows_that_start_late(self, p):
+        # Ten echelon rows leading at 0..9 and 60 combinations of them hold
+        # pivots 0..9 only.  Rows leading at 63, 64 and 65 straddle the first
+        # panel edge, and rows leading at 200..204 start after every other
+        # row's pivot is taken.  Rows of multiples of p leading at 250, past
+        # the last pivot, are zero mod p: a raw lead only bounds the true one.
+        cols = 256
+        rng = exactalg.stream(p, "late-rows")
+
+        def fresh(lead):
+            row = np.zeros(cols, dtype=np.int64)
+            row[lead] = 1
+            row[lead + 1:] = rng.integers(0, p, size=cols - lead - 1)
+            return row
+
+        base = np.array([fresh(k) for k in range(10)])
+        mix = rng.integers(0, p, size=(60, 10)) @ base % p
+        late = np.array([fresh(k) for k in (63, 64, 65, 200, 201, 202, 203, 204)])
+        dead = p * np.array([fresh(250) for _ in range(4)])
+        m = shuffled_rows(np.vstack([base, mix, late, dead]), p)
+        b, lead = exactalg._staircase(m, p)
+        assert lead.tolist() == sorted(lead.tolist()) and lead[-1] == 250
+        assert_all_ways(m, p, want=18)
+
+    @given(rows=st.integers(65, 160), cols=st.integers(66, 260),
+           leads=st.lists(st.sampled_from([0, 1, 62, 63, 64, 65, 66, 127, 128, 129, 192])
+                          | st.integers(0, 259), min_size=1, max_size=8),
+           seed=st.integers(0, 10 ** 6), p=st.sampled_from(BLOCKED_PRIMES))
+    @settings(max_examples=40, deadline=None)
+    def test_random_staircases(self, rows, cols, leads, seed, p):
+        # Each row is zero left of a lead drawn from `leads`, some near panel
+        # edges; a row may instead copy a multiple of an earlier one or be p
+        # times a fresh row, so ranks fall short and leads repeat.
+        rng = exactalg.stream(seed, "random-staircase")
+        m = rng.integers(0, p, size=(rows, cols), dtype=np.int64)
+        for i in range(rows):
+            m[i, :min(leads[int(rng.integers(0, len(leads)))], cols - 1)] = 0
+            kind = rng.random()
+            if kind < 0.3 and i:
+                m[i] = m[int(rng.integers(0, i))] * int(rng.integers(0, p)) % p
+            elif kind < 0.4:
+                m[i] *= p
+        assert_all_ways(shuffled_rows(m, seed), p)
+
+    @given(q=st.sampled_from([(7,), (3, 3), (1, 1, 1, 1), (2, 2, 2)]),
+           seed=st.integers(0, 10 ** 6), p=st.sampled_from(BLOCKED_PRIMES))
+    @settings(max_examples=25, deadline=None)
+    def test_gq_block_patterns(self, q, seed, p):
+        # Block (I, J) uniform over 1..p-1 exactly when I dominates J, the
+        # block rows shuffled: the L-matrix staircase with numeric entries.
+        rng = exactalg.stream(seed, "gq-staircase")
+        poset = GQPoset(q)
+        sizes = [{e: int(rng.integers(0, 11)) for e in poset.elements} for _ in range(2)]
+        mask = GQBlockStructure(poset, *sizes).pattern()
+        m = np.where(mask, rng.integers(1, p, size=mask.shape), 0)
+        assert_all_ways(shuffled_rows(m, seed), p)
+
+    @pytest.mark.parametrize("family, a, i, s", [("F1", 9, 18, 6), ("F2", 9, 16, 23)])
+    def test_cropped_family_matrices(self, family, a, i, s):
+        # F1 and F2 at a reduced size: the cropped derivative matrices of E
+        # (inside its box P) beside F, whose late rows the panels skip.
+        params = families.require_valid(family, a=a, i=i, s=s)
+        w = families.construct(params, 0)
+        for d in range(params.i, params.i_f + 1):
+            t = apolarity.derivative_template(w.r, w.j, tuple(b.bounds for b in w.blocks), d, w.p)
+            m = t.assemble([b.coeffs for b in w.blocks])
+            short = m[np.ix_(m.any(axis=1), m.any(axis=0))]
+            short = short if short.shape[0] <= short.shape[1] else short.T
+            assert exactalg._staircase(short, w.p)[1][-1] >= exactalg.PANEL
+            assert_all_ways(m, w.p, want=apolarity.hilbert_value(w, d))
 
 
 class TestEliminate:

@@ -352,6 +352,24 @@ class TestTppTap:
         # nested lists that numpy would read as float64, losing the -1
         assert first_negative_topset(chain3, [[2 ** 63], [-1], [-2 ** 63]]).tolist() == [3]
 
+    def test_columns_close_in_different_chunks(self):
+        # On a chain, row k of the topset matrix is its first k elements.
+        # Column c sums negative first at row stops[c]; with three rows per
+        # chunk the columns close in chunks 0, 1, 3 and 4, two of them in
+        # each of the first two, and one never closes, so the open columns
+        # are sliced out again after each of those chunks and not after 2.
+        poset = GQPoset((11,))
+        stops = [1, 2, 4, 11, 5, -1, 12]
+        w = np.ones((12, len(stops)), dtype=np.int64)
+        for c, k in enumerate(stops):
+            if k > 0:
+                w[k - 1, c] = -k
+        with mock.patch.object(gqposet, "_CHECK_CELLS", 3 * sum(w.shape)):
+            first = first_negative_topset(poset, w)
+        assert first.tolist() == stops
+        for row, col in zip(first.tolist(), w.T.tolist()):
+            assert witness(poset, row) == loop_check(poset, col, False)
+
     def test_int64_weights_stay_int64(self):
         # int64 weights are bounded and multiplied without a copy to Python
         # integers: the traced peak stays within 3 times the weights' bytes

@@ -2,16 +2,18 @@
 
 from itertools import chain, combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levelalg import exactalg
+from levelalg import apolarity, exactalg
 from levelalg.gqposet import GQPoset, dominates
 from levelalg.lmatrix import (GQ_SHAPES, GQBlockStructure, SymbolicMatrix, classify,
                               det_is_nonzero, exact_det_polynomial,
                               gq3_criterion, random_gq_structure,
                               random_l_matrix, verify_gq_pattern)
+from levelalg.multiindex import count_constrained
 
 
 CONDITIONS = ("topsets", "topsets_no_bottom", "bottomsets", "bottomsets_no_top")
@@ -216,6 +218,25 @@ class TestCriterion:
             assert classify(m).is_l_matrix
             assert verify_gq_pattern(m, st)
             assert gq3_criterion(st) == det_is_nonzero(m, "exact")
+
+    def test_holds_on_a_singular_derivative_matrix(self):
+        # The scope the module docstring states: every coordinate bounded
+        # below j, the derivative factors cancel, and the criterion holds
+        # on a 6 x 6 L-matrix with the pattern whose determinant is 0.  Its
+        # GF(p) rank is 5 at any coefficients, so h(4) = 5, not 6.
+        r, j, box, d, s = 3, 5, (2, 2, 2), 4, 2
+        width = count_constrained(r, j, box)
+        sym = apolarity.build_matrix(np.ones((s, width), dtype=np.int64), box, r, j, d,
+                                     symbolic=True)
+        m = sym.matrix
+        assert (m.nrows, m.ncols) == (6, 6)
+        assert classify(m).is_l_matrix and verify_gq_pattern(m, sym.structure)
+        assert gq3_criterion(sym.structure)
+        assert exact_det_polynomial(m) == {}
+        assert not det_is_nonzero(m, "randomized")
+        for seed in range(3):
+            z = exactalg.sample((s, width), seed, "singular-derivative")
+            assert exactalg.rank(apolarity.build_matrix(z, box, r, j, d).matrix) == 5
 
     @given(seed=st.integers(0, 10 ** 6), scale=st.sampled_from([1, 7, 2 ** 61]))
     @settings(max_examples=150, deadline=None)
