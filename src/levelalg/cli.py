@@ -141,7 +141,11 @@ def _build_parser():
     p.add_argument("action", choices=("tpp", "topsets"))
     p.add_argument("--q", required=True)
     p.add_argument("--trials", type=int, default=50)
-    p = sub.add_parser("lmatrix", parents=[common])
+    p = sub.add_parser("lmatrix", parents=[common], description=(
+        "gq3_criterion is the paper's topset test for a square G_Q block structure; on "
+        "derivative matrices with every coordinate bounded below j it can hold over a zero "
+        "determinant. det_nonzero is the exact check, reported for at most %d rows."
+        % lmatrix.EXACT_DET_LIMIT))
     p.add_argument("action", choices=("check",))
     p.add_argument("matrix")
     p = sub.add_parser("selftest", parents=[common])

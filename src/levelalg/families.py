@@ -2,10 +2,13 @@
 
 Each family F1, F2, G1, G2, G3, H1 produces a subspace W = E + F of the
 degree-j forms in r variables: E is spanned by s random forms supported in a
-box M_P(j), F by u random forms supported in M_Q(j).  For valid parameters
-the Hilbert function of R/Ann(W) dips below its shoulders on the critical
-range [i, i_f] - a single drop (i_f = i+2) for F2/G2/G3, a double drop
-(i_f = i+3) for F1/G1/H1 - so the h-vector is not unimodal.
+box M_P(j), F by u random forms supported in M_Q(j); `_shape` alone states r,
+j, P, Q, u and the drop.  On the critical range [i, i_f] - a single drop
+(i_f = i+2) for F2/G2/G3, a double drop (i_f = i+3) for F1/G1/H1 - the
+Hilbert function of R/Ann(W) is h(d) = m_P(d) + u m_Q(j - d), with m_Q from
+`multiindex.count_constrained`; s >= `min_sufficient_s` is what makes E's part
+m_P(d).  For valid parameters h dips below its shoulders there, so the
+h-vector is not unimodal.
 
 Also here: the codimension-5 Gorenstein example with non-unimodal h-vector
 (1,5,12,22,35,51,70,91,90,91,70,51,35,22,12,5,1), its type-2/3/4
@@ -16,7 +19,7 @@ modifications, codimension extensions, and the existence catalog mapping
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -59,11 +62,8 @@ def f2_threshold(a):
 
 
 def g3_socle_shift(a, b):
-    """Largest m with C(m+1, 2) < ab."""
-    m = 0
-    while (m + 1) * (m + 2) // 2 < a * b:
-        m += 1
-    return m
+    """Largest m with C(m+1, 2) < ab, that is with (2m+1)^2 <= 8ab - 7."""
+    return (isqrt(8 * a * b - 7) - 1) // 2
 
 
 def _is_triangular(n):
@@ -122,18 +122,13 @@ def _shape(family, a, b, c, i):
     raise FamilyError("unknown family %r" % (family,))
 
 
-def _m_p(family, a, b, c, i, d):
-    r, j, p_bounds, _, _, _, _ = _shape(family, a, b, c, i)
-    return count_constrained(r, d, p_bounds)
-
-
 def min_sufficient_s(family, a, b=None, c=None, i=None):
     """Smallest s making the (j - i_f)-th cropped matrix of E at least as
     tall as wide: ceil(m_P(i_f) / m_P(j - i_f))."""
-    _, j, _, _, _, _, drop = _shape(family, a, b, c, i)
+    r, j, p_bounds, _, _, _, drop = _shape(family, a, b, c, i)
     i_f = i + (2 if drop == "single" else 3)
-    return _ceil_div(_m_p(family, a, b, c, i, i_f),
-                     _m_p(family, a, b, c, i, j - i_f))
+    return _ceil_div(count_constrained(r, i_f, p_bounds),
+                     count_constrained(r, j - i_f, p_bounds))
 
 
 @dataclass(frozen=True)
@@ -162,6 +157,7 @@ def validate(family, a=None, b=None, c=None, i=None, s=None):
     if bad:
         return ValidationResult(None, tuple(bad))
 
+    r, j, p_bounds, q_bounds, u, delta, drop = _shape(family, a, b, c, i)
     if family in ("F1", "F2"):
         if family == "F1":
             if a < 4:
@@ -189,10 +185,11 @@ def validate(family, a=None, b=None, c=None, i=None, s=None):
             elif i < a + b - 3:
                 bad.append("G3 requires i >= a + b - 3")
             else:
-                m = g3_socle_shift(a, b)
-                lhs = a * b * (2 * i - a - b + 4) // 2 + comb(m + 3, 3)
-                if lhs > comb(i + 3, 3):
-                    bad.append("G3 space bound fails: %d > %d" % (lhs, comb(i + 3, 3)))
+                # E and F must fit in R_i: m_P(i) + m_Q(j - i) <= m(i)
+                lhs = count_constrained(r, i, p_bounds) + count_constrained(r, j - i, q_bounds)
+                m_i = count_constrained(r, i)
+                if lhs > m_i:
+                    bad.append("G3 space bound fails: %d > %d" % (lhs, m_i))
     elif family == "H1":
         if not c >= b >= a >= 2:
             bad.append("H1 requires c >= b >= a >= 2")
@@ -201,12 +198,11 @@ def validate(family, a=None, b=None, c=None, i=None, s=None):
     if bad:
         return ValidationResult(None, tuple(bad))
 
-    r, j, p_bounds, q_bounds, u, delta, drop = _shape(family, a, b, c, i)
     i_f = i + (2 if drop == "single" else 3)
     smin = min_sufficient_s(family, a, b, c, i)
     if s < smin:
         bad.append("s = %d below the sufficient minimum %d" % (s, smin))
-    m_p_j = _m_p(family, a, b, c, i, j)
+    m_p_j = count_constrained(r, j, p_bounds)
     if s > m_p_j:
         bad.append("s = %d exceeds m_P(j) = %d" % (s, m_p_j))
     if bad:
@@ -218,6 +214,9 @@ def validate(family, a=None, b=None, c=None, i=None, s=None):
 
 
 def validate_json(obj):
+    """`validate` on a parsed JSON instance, refusing anything but an object."""
+    if not isinstance(obj, dict):
+        raise FamilyError("a family instance must be a JSON object")
     return validate(obj.get("family"), a=obj.get("a"), b=obj.get("b"),
                     c=obj.get("c"), i=obj.get("i"), s=obj.get("s"))
 
@@ -230,42 +229,20 @@ def require_valid(family, a=None, b=None, c=None, i=None, s=None):
 
 
 def predicted_h(params, d):
-    """Predicted h(d) = h_E(d) + h_F(d) on the critical range."""
+    """h(d) = m_P(d) + u m_Q(j - d) on the critical range [i, i_f]: E's s >=
+    min_sufficient_s forms give m_P(d), F's u generic forms u m_Q(j - d)."""
     if not params.i <= d <= params.i_f:
         raise FamilyError("degree %d outside the critical range [%d, %d]"
                           % (d, params.i, params.i_f))
-    e = params.j - d
-    fam, a, b, c = params.family, params.a, params.b, params.c
-    if fam in ("F1", "F2"):
-        h_e = params.delta * (2 * d - a + 3) // 2
-    elif fam in ("G1", "G2", "G3"):
-        h_e = params.delta * (2 * d - a - b + 4) // 2
-    else:
-        h_e = params.delta * (2 * d - a - b - c + 5) // 2
-    if fam in ("F1", "G1", "H1"):
-        h_f = comb(e + 2, 2)
-    elif fam == "F2":
-        h_f = 2 * comb(e + 2, 2)
-    elif fam == "G2":
-        h_f = (e + 1) ** 2
-    else:
-        h_f = comb(e + 3, 3)
-    return h_e + h_f
+    return (count_constrained(params.r, d, params.p_bounds)
+            + params.u * count_constrained(params.r, params.j - d, params.q_bounds))
 
 
 def deltas(params, d):
-    """(Delta_d, delta_d) with h(d+1) = h(d) + Delta_d + delta_d."""
-    e = params.j - d
-    fam = params.family
-    if fam in ("F1", "G1", "H1"):
-        small = -(e + 1)
-    elif fam == "F2":
-        small = -2 * (e + 1)
-    elif fam == "G2":
-        small = -(2 * e + 1)
-    else:
-        small = -comb(e + 2, 2)
-    return params.delta, small
+    """(Delta_d, delta_d) with h(d+1) = h(d) + Delta_d + delta_d: E's part
+    Delta_d is `delta`, F's part delta_d = u (m_Q(j-d-1) - m_Q(j-d))."""
+    r, e, q = params.r, params.j - d, params.q_bounds
+    return params.delta, params.u * (count_constrained(r, e - 1, q) - count_constrained(r, e, q))
 
 
 def construct(params, seed, p=exactalg.DEFAULT_PRIME):
@@ -408,21 +385,13 @@ class CatalogEntry:
 
 def _family_recipe(family, t, base_i, shape):
     """Instance of `family` with type t, raising i until s = t - u fits."""
-    u = 2 if family == "F2" else 1
-    s = t - u
-    i = base_i
-    while True:
-        a = shape.get("a")
-        b = shape.get("b")
-        c = shape.get("c")
-        res = validate(family, a=a, b=b, c=c, i=i, s=s)
+    a, b, c = shape.get("a"), shape.get("b"), shape.get("c")
+    u = _shape(family, a, b, c, base_i)[4]
+    for i in range(base_i, base_i + 10001):
+        res = validate(family, a=a, b=b, c=c, i=i, s=t - u)
         if res.valid:
-            obj = res.params.to_json()
-            obj["family"] = family
-            return obj
-        i += 1
-        if i > base_i + 10000:
-            raise FamilyError("no instance found for %s type %d" % (family, t))
+            return res.params.to_json()
+    raise FamilyError("no instance found for %s type %d" % (family, t))
 
 
 def existence_catalog(r, t):

@@ -1,7 +1,11 @@
 """Command-line interface: subcommands, exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,12 +15,21 @@ from levelalg import __version__, gqposet
 from levelalg.cli import emit_report, main
 
 G3 = '{"family":"G3","a":4,"b":4,"i":8,"s":7}'
+REPO = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_python(*args, timeout):
+    """Run `python *args` from the repository root with src/ on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=REPO, env=env, capture_output=True,
+                          text=True, timeout=timeout)
 
 
 class TestFamilyCommands:
@@ -63,6 +76,22 @@ class TestFamilyCommands:
         path.write_text(G3)
         code, out, _ = run(capsys, "family", "validate", str(path))
         assert code == 0 and json.loads(out)["valid"]
+
+    @pytest.mark.parametrize("text", ["[1]", "7", '"G3"'])
+    @pytest.mark.parametrize("action", ["validate", "predict", "verify", "type"])
+    def test_non_object_instance_exits_1(self, capsys, tmp_path, text, action):
+        path = tmp_path / "inst.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "family", action, str(path))
+        assert code == 1 and out == ""
+        assert err == "error: a family instance must be a JSON object\n"
+
+    def test_validate_large_g3_is_immediate(self):
+        # the socle shift m of a = b = 10^8 is about 1.4 * 10^8: no loop to m
+        inst = '{"family":"G3","a":100000000,"b":100000000,"i":300000000,"s":1}'
+        res = run_python("-m", "levelalg.cli", "family", "validate", inst, timeout=10)
+        assert res.returncode == 2
+        assert json.loads(res.stdout)["violations"] == ["s = 1 below the sufficient minimum 5"]
 
 
 class TestHilbert:
@@ -231,6 +260,26 @@ class TestOtherCommands:
             '"passed":true},"p":32749,"passed":true,"seed":1,"splice":{"failures":[],'
             '"passed":true},"tpp":{"failures":[],"passed":true,"phis_per_poset":20,'
             '"posets":5},"version":"%s"}\n' % __version__)
+
+
+class TestScripts:
+    def test_sweep_f2(self):
+        res = run_python("scripts/sweep_f2.py", "--max-a", "221", "--only-s", "10", timeout=30)
+        assert res.returncode == 0
+        # --max-a is inclusive, so 221 is swept too
+        assert [line.split()[0] for line in res.stdout.splitlines()] == \
+            ["a=%d" % a for a in (205, 209, 213, 215, 217, 219, 221)]
+
+    def test_verify_families(self):
+        res = run_python("scripts/verify_families.py", timeout=30)
+        assert res.returncode == 0
+        assert len(res.stdout.splitlines()) == 6 and "mismatch" not in res.stdout
+
+    def test_bernstein_table(self):
+        res = run_python("scripts/bernstein_table.py", timeout=30)
+        assert res.returncode == 0
+        rows = res.stdout.splitlines()[1:]
+        assert [int(row.split()[0]) for row in rows] == list(range(17))
 
 
 class TestPlumbing:

@@ -1,12 +1,13 @@
 """Family validation, predictions, constructions, and the catalog."""
 
+from math import comb, isqrt
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from levelalg import apolarity, families
-from levelalg.families import (BERNSTEIN_H, FamilyError, existence_catalog,
+from levelalg.families import (BERNSTEIN_H, FAMILIES, FamilyError, existence_catalog,
                                extend_codim, f2_threshold, g3_socle_shift,
                                min_sufficient_s, predicted_h, realize_recipe,
                                require_valid, special_construction,
@@ -33,6 +34,72 @@ def theorem_min_s(family, a, b=None, c=None, i=None):
     raise FamilyError("no closed form for %r" % (family,))
 
 
+def theorem_h(p, d):
+    """The paper's per-family closed forms for h(d) = h_E(d) + h_F(d)."""
+    e = p.j - d
+    fam, a, b, c = p.family, p.a, p.b, p.c
+    if fam in ("F1", "F2"):
+        h_e = p.delta * (2 * d - a + 3) // 2
+    elif fam in ("G1", "G2", "G3"):
+        h_e = p.delta * (2 * d - a - b + 4) // 2
+    else:
+        h_e = p.delta * (2 * d - a - b - c + 5) // 2
+    if fam in ("F1", "G1", "H1"):
+        h_f = comb(e + 2, 2)
+    elif fam == "F2":
+        h_f = 2 * comb(e + 2, 2)
+    elif fam == "G2":
+        h_f = (e + 1) ** 2
+    else:
+        h_f = comb(e + 3, 3)
+    return h_e + h_f
+
+
+def theorem_deltas(p, d):
+    """The paper's per-family closed forms for (Delta_d, delta_d)."""
+    e = p.j - d
+    if p.family in ("F1", "G1", "H1"):
+        small = -(e + 1)
+    elif p.family == "F2":
+        small = -2 * (e + 1)
+    elif p.family == "G2":
+        small = -(2 * e + 1)
+    else:
+        small = -comb(e + 2, 2)
+    return p.delta, small
+
+
+def theorem_g3_bound(a, b, i):
+    """The paper's G3 space bound ab(2i-a-b+4)/2 + C(m+3,3) <= C(i+3,3), as
+    the violation `validate` reports, or None when it holds."""
+    lhs = a * b * (2 * i - a - b + 4) // 2 + comb(g3_socle_shift(a, b) + 3, 3)
+    if lhs > comb(i + 3, 3):
+        return "G3 space bound fails: %d > %d" % (lhs, comb(i + 3, 3))
+    return None
+
+
+def socle_shift_by_counting(a, b):
+    m = 0
+    while (m + 1) * (m + 2) // 2 < a * b:
+        m += 1
+    return m
+
+
+def valid_grid():
+    """Every valid instance of a small grid, each at its minimum s."""
+    for fam in FAMILIES:
+        for a in range(2, 16 if fam[0] == "F" else 7):
+            for b in (range(a, 7) if fam[0] in "GH" else (None,)):
+                for c in (range(b, 5) if fam == "H1" else (None,)):
+                    for i in range(1, 73, 3):
+                        res = validate(fam, a=a, b=b, c=c, i=i, s=1)
+                        if res.violations and res.violations[0].startswith("s = 1 below"):
+                            res = validate(fam, a=a, b=b, c=c, i=i,
+                                           s=min_sufficient_s(fam, a, b, c, i))
+                        if res.valid:
+                            yield res.params
+
+
 class TestThresholds:
     def test_f2_threshold(self):
         assert f2_threshold(21) == 36
@@ -47,9 +114,13 @@ class TestThresholds:
         # largest m with C(m+1,2) < ab
         assert g3_socle_shift(4, 4) == 5
         assert g3_socle_shift(2, 3) == 2
-        for a, b in ((2, 5), (3, 7), (4, 9)):
+        pairs = [(ab, 1) for ab in range(1, 3000)]
+        pairs += [(a, b) for a in (7, 10 ** 4, 10 ** 8) for b in (a, a + 1, 3 * a + 5)]
+        for a, b in pairs:
             m = g3_socle_shift(a, b)
-            assert m * (m + 1) // 2 < a * b <= (m + 1) * (m + 2) // 2
+            assert m * (m + 1) // 2 < a * b <= (m + 1) * (m + 2) // 2, (a, b)
+            if a * b < 3000:
+                assert m == socle_shift_by_counting(a, b), (a, b)
 
 
 class TestValidation:
@@ -118,6 +189,34 @@ class TestPredictions:
         for d in range(p.i, p.i_f):
             big, small = families.deltas(p, d)
             assert predicted_h(p, d + 1) == predicted_h(p, d) + big + small
+
+    def test_count_form_matches_closed_forms(self):
+        seen = set()
+        for p in valid_grid():
+            seen.add(p.family)
+            for d in range(p.i, p.i_f + 1):
+                assert predicted_h(p, d) == theorem_h(p, d), (p, d)
+                assert families.deltas(p, d) == theorem_deltas(p, d), (p, d)
+        assert seen == set(FAMILIES)
+        # G2 with a = b = 2: j = i_f, so j - d reaches 0 at the last degree
+        p = require_valid("G2", a=2, b=2, i=9, s=min_sufficient_s("G2", 2, 2, i=9))
+        assert p.j == p.i_f
+        assert families.deltas(p, p.i_f) == theorem_deltas(p, p.i_f) == (4, -1)
+        assert predicted_h(p, p.i_f) == theorem_h(p, p.i_f)
+
+    def test_g3_space_bound_matches_closed_form(self):
+        fails = 0
+        for a in range(2, 13):
+            for b in range(a, 13):
+                if (isqrt(8 * a * b + 1)) ** 2 == 8 * a * b + 1:
+                    continue  # ab triangular: refused before the bound
+                for i in range(a + b - 3, a + b + 30):
+                    want = theorem_g3_bound(a, b, i)
+                    got = [v for v in validate("G3", a=a, b=b, i=i, s=1).violations
+                           if v.startswith("G3 space bound")]
+                    assert got == ([want] if want else []), (a, b, i)
+                    fails += want is not None
+        assert fails > 100
 
     def test_outside_critical_range(self):
         p = require_valid("F1", a=21, i=42, s=4)
