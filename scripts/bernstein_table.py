@@ -15,7 +15,7 @@ def main():
     vecs = {}
     for k in (1, 2, 3, 4):
         w = special_construction("bernstein_t%d" % k, seed=args.seed)
-        vecs[k] = apolarity.hilbert_vector(w).values
+        vecs[k] = apolarity.hilbert_vector(w)
     print("d   " + "".join("t=%-5d" % k for k in sorted(vecs)))
     for d in range(17):
         print("%-4d" % d + "".join("%-7d" % vecs[k][d] for k in sorted(vecs)))

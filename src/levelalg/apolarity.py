@@ -7,10 +7,13 @@ of the level algebra R/Ann(W) is h(d) = dim R_{j-d} * W, computed here as the
 rank over GF(p) of a derivative coefficient matrix.
 
 Generators are stored in blocks; each block carries a bound tuple ("box")
-confining its monomial support, and matrices are cropped per block: rows
-range over operator exponents inside the box, columns over the union of the
-per-block target supports.  Cropping removes only all-zero rows and columns,
-so ranks match the uncropped matrices.
+confining its monomial support.  A boxed derivative matrix has two views:
+`symbolic_matrix`, the L-matrix in the formal coefficients z_{i,J}, and its
+evaluation over GF(p), assembled by `derivative_template` and ranked by
+`hilbert_value`.  Both are cropped per block: rows range over operator
+exponents inside the box, columns over the union of the per-block target
+supports.  Cropping removes only all-zero rows and columns, so ranks match
+the uncropped matrix, which is the same forms over the unbounded box ().
 
 No derivative matrix over MAX_CELLS entries, and no monomial list over
 MAX_MONOMIALS, is built: `check_cells` counts them first and refuses them
@@ -88,10 +91,6 @@ class HomogeneousSubspace:
         for b in self.blocks:
             if b.r != self.r or b.j != self.j:
                 raise ValueError("block ambient mismatch")
-
-    @property
-    def n_generators(self):
-        return sum(b.n_generators for b in self.blocks)
 
     @classmethod
     def from_dense(cls, r, j, bounds, coeffs, p=exactalg.DEFAULT_PRIME):
@@ -259,12 +258,12 @@ class DerivativeTemplate:
 
 
 @lru_cache(maxsize=64)
-def derivative_template(r, j, block_bounds, d, p, cropped=True):
+def derivative_template(r, j, block_bounds, d, p):
     """The DerivativeTemplate of blocks with these bounds at degree d, mod p.
 
     Block rows are the operator exponents E of degree j-d and block columns
-    the targets D of degree d, both inside the block's box when cropped;
-    the template's columns are the union of the blocks'.
+    the targets D of degree d, both inside the block's box; the template's
+    columns are the union of the blocks'.
     """
     if j >= p:
         raise ValueError("prime %d too small for degree %d" % (p, j))
@@ -284,14 +283,13 @@ def derivative_template(r, j, block_bounds, d, p, cropped=True):
             out = out * tab[exps] % p
         return out
 
-    boxes = [bounds if cropped else () for bounds in block_bounds]
-    block_cols = [enumerate_constrained(r, d, box) for box in boxes]
+    block_cols = [enumerate_constrained(r, d, bounds) for bounds in block_bounds]
     union = sorted(set().union(*block_cols), reverse=True)
     col_of = {m: i for i, m in enumerate(union)}
     parts = []
-    for bounds, box, cols in zip(block_bounds, boxes, block_cols):
+    for bounds, cols in zip(block_bounds, block_cols):
         support = enumerate_constrained(r, j, bounds)
-        rows = enumerate_constrained(r, j - d, box)
+        rows = enumerate_constrained(r, j - d, bounds)
         parts.append(_BlockTemplate(
             tuple(support), tuple(rows), np.append(key(support), 1), prod_mod(fact, support),
             key(rows), key(cols), prod_mod(invfact, cols),
@@ -301,12 +299,12 @@ def derivative_template(r, j, block_bounds, d, p, cropped=True):
 
 @dataclass(frozen=True)
 class DerivativeMatrix:
-    """A derivative coefficient matrix with its row/column index lists."""
+    """A symbolic derivative matrix with its row/column indexes and block structure."""
 
-    matrix: object  # SymbolicMatrix or numpy array
+    matrix: SymbolicMatrix
     row_index: tuple  # pairs (E, generator index)
     col_index: tuple  # multi-indexes D
-    structure: GQBlockStructure | None = None
+    structure: GQBlockStructure
 
 
 def standard_structure(bounds, r, j, d, s):
@@ -329,34 +327,27 @@ def standard_structure(bounds, r, j, d, s):
     return GQBlockStructure(poset, rr, cc)
 
 
-def build_matrix(generators, bounds, r, j, d, cropped=True, symbolic=False,
-                 p=exactalg.DEFAULT_PRIME):
-    """The (j-d)-th derivative matrix of generators supported in M_bounds(j).
+def symbolic_matrix(r, j, bounds, d, s):
+    """The (j-d)-th derivative matrix of s forms in M_bounds(j), in the formal z_{i,J}.
 
-    Rows are pairs (E, generator) with E of degree e = j-d, columns are
-    target monomials D of degree d, both in descending lexicographic order;
-    cropping restricts E and D to the bound box.  The entry at ((E, i), D)
-    is n(J, E) z_{i,J} for J = D + E inside the box, else zero.  Symbolic
-    mode returns the SymbolicMatrix in the formal coefficients z_{i,J};
-    otherwise z is evaluated at the given dense generator matrix.
+    Rows are pairs (E, i) with E of degree e = j-d in the box and i < s,
+    columns the box's monomials D of degree d, both in descending
+    lexicographic order.  The entry at ((E, i), D) is n(J, E) z_{i,J} for
+    J = D + E inside the box, else zero.  Evaluated at coefficients over
+    GF(p) it is the matrix `hilbert_value` ranks.
     """
     bounds = tuple(bounds)
-    generators = GeneratorBlock(r, j, bounds, generators).coeffs  # checks the width
-    s = generators.shape[0]
-    check_cells(r, j, d, ((bounds if cropped else (), s),))
-    t = derivative_template(r, j, (bounds,), d, p, cropped)
-    part = t.blocks[0]
-    row_index = tuple((ee, i) for ee in part.rows for i in range(s))
-    if symbolic:
-        sup, miss = part.support, len(part.support)
-        mat = SymbolicMatrix(tuple(
-            tuple(None if q == miss else (derivative_coefficient(sup[q], ee), (i, sup[q]))
-                  for q in prow)
-            for ee, prow in zip(part.rows, part.positions().tolist()) for i in range(s)))
-    else:
-        mat = t.assemble((generators,))
-    structure = standard_structure(bounds, r, j, d, s) if cropped else None
-    return DerivativeMatrix(mat, row_index, t.cols, structure)
+    check_cells(r, j, d, ((bounds, s),))
+    # positions of D + E in the support do not depend on p
+    part = derivative_template(r, j, (bounds,), d, exactalg.DEFAULT_PRIME).blocks[0]
+    sup, miss = part.support, len(part.support)
+    mat = SymbolicMatrix(tuple(
+        tuple(None if q == miss else (derivative_coefficient(sup[q], ee), (i, sup[q]))
+              for q in prow)
+        for ee, prow in zip(part.rows, part.positions().tolist()) for i in range(s)))
+    return DerivativeMatrix(mat, tuple((ee, i) for ee in part.rows for i in range(s)),
+                            tuple(enumerate_constrained(r, d, bounds)),
+                            standard_structure(bounds, r, j, d, s))
 
 
 def hilbert_value(w, d):
@@ -368,22 +359,8 @@ def hilbert_value(w, d):
     return exactalg.rank(t.assemble([b.coeffs for b in w.blocks]), w.p)
 
 
-@dataclass(frozen=True)
-class HilbertVector:
-    j: int
-    start: int
-    values: tuple
-
-    @property
-    def degrees(self):
-        return range(self.start, self.start + len(self.values))
-
-    def to_json(self):
-        return {"j": self.j, "start": self.start, "h": list(self.values)}
-
-
 def hilbert_vector(w, rng=None):
-    """Hilbert values for all degrees 0..j, or a [lo, hi] range.
+    """The Hilbert values h(lo), ..., h(hi) of a range [lo, hi], by default 0..j.
 
     h is 0 outside 0..j, so a range of more than j + 1 degrees is refused
     with a ValueError before anything is computed.
@@ -392,22 +369,13 @@ def hilbert_vector(w, rng=None):
     if hi - lo > w.j:
         raise ValueError("range %d..%d has %d degrees, more than j + 1 = %d"
                          % (lo, hi, hi - lo + 1, w.j + 1))
-    if hi < lo:
-        return HilbertVector(w.j, lo, ())
-    return HilbertVector(w.j, lo,
-                         tuple(hilbert_value(w, d) for d in range(lo, hi + 1)))
-
-
-@dataclass(frozen=True)
-class SumSplit:
-    dim_sum: int
-    equals_split: bool
+    return tuple(hilbert_value(w, d) for d in range(lo, hi + 1))
 
 
 def sum_space_dimension(v, w, d):
-    """dim R_{j-d}*(V+W), and whether it splits as the sum of the parts."""
+    """(dim R_{j-d}*(V+W), whether it splits as the sum of the parts' dimensions)."""
     if v.r != w.r or v.j != w.j or v.p != w.p:
         raise ValueError("subspaces live in different ambients")
     both = HomogeneousSubspace(v.r, v.j, v.blocks + w.blocks, v.p)
     dim = hilbert_value(both, d)
-    return SumSplit(dim, dim == hilbert_value(v, d) + hilbert_value(w, d))
+    return dim, dim == hilbert_value(v, d) + hilbert_value(w, d)

@@ -164,10 +164,9 @@ def _cmd_hilbert(args, p):
     except (KeyError, TypeError, ValueError) as e:
         raise UsageError("bad subspace: %s" % e)
     rng = _parse_range(args.drange) if args.drange else None
-    hv = hilbert_vector(w, rng)
+    h = hilbert_vector(w, rng)
     report = _base_report("hilbert", p, args.seed)
-    report.update({"r": w.r, "j": w.j, "start": hv.start,
-                   "h": list(hv.values)})
+    report.update({"r": w.r, "j": w.j, "start": rng[0] if rng else 0, "h": list(h)})
     return report, 0
 
 
@@ -253,7 +252,8 @@ def _cmd_lmatrix(args, p):
         raise UsageError("bad matrix: %s" % e)
     cls = lmatrix.classify(m)
     report = _base_report("lmatrix check", p, args.seed)
-    report.update({"rows": m.nrows, "cols": m.ncols, "is_pv": cls.is_pv,
+    # SymbolicMatrix admits only PV grids: every nonzero cell is lam * var with lam >= 1
+    report.update({"rows": m.nrows, "cols": m.ncols, "is_pv": True,
                    "is_l_matrix": cls.is_l_matrix,
                    "moving_left": sorted(cls.moving_left_variables)})
     verdict = cls.is_l_matrix

@@ -24,7 +24,7 @@ from math import isqrt
 import numpy as np
 
 from . import exactalg
-from .apolarity import GeneratorBlock, HomogeneousSubspace, hilbert_value
+from .apolarity import GeneratorBlock, HomogeneousSubspace, check_cells, hilbert_value
 from .multiindex import count_constrained, enumerate_constrained
 
 FAMILIES = ("F1", "F2", "G1", "G2", "G3", "H1")
@@ -248,6 +248,8 @@ def deltas(params, d):
 def construct(params, seed, p=exactalg.DEFAULT_PRIME):
     """The random subspace E + F for these parameters, deterministic in seed."""
     r, j = params.r, params.j
+    # bounds the s x m_P(j) and u x m_Q(j) coefficient arrays before they are drawn
+    check_cells(r, j, j, ((params.p_bounds, params.s), (params.q_bounds, params.u)))
     m_p = count_constrained(r, j, params.p_bounds)
     m_q = count_constrained(r, j, params.q_bounds)
     e_block = GeneratorBlock(r, j, params.p_bounds,

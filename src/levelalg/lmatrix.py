@@ -10,10 +10,10 @@ pattern (block rows indexed by G_Q in descending lexicographic order, block
 columns in ascending order, block (I, J) all-nonzero exactly when I
 dominates J) asks that the block excesses A_I = r_I - c_I sum to a
 nonnegative value over every nonempty proper topset of G_Q.  It is not an
-"iff" for every such matrix.  The cropped symbolic derivative matrix of
-s = 2 forms with r = 3, j = 5, box (2, 2, 2) and d = 4 is a 6 x 6 L-matrix
-with the pattern and the criterion holds, yet its determinant is the zero
-polynomial: the derivative factors n(J, E) cancel.  Measured scope, over
+"iff" for every such matrix.  The derivative matrix
+`apolarity.symbolic_matrix(3, 5, (2, 2, 2), 4, 2)` of s = 2 forms is a 6 x 6
+L-matrix with the pattern and the criterion holds, yet its determinant is
+the zero polynomial: the derivative factors n(J, E) cancel.  Measured scope, over
 every square cropped derivative matrix of at most 7 rows with r <= 4,
 j <= 8 and s <= 3: where some coordinate is free (fewer bounds than r, or
 a bound >= j), the criterion and a nonzero determinant agreed in all 3925
@@ -97,7 +97,6 @@ class SymbolicMatrix:
 
 @dataclass(frozen=True)
 class Classification:
-    is_pv: bool
     moving_left_variables: frozenset
     is_l_matrix: bool
 
@@ -113,7 +112,7 @@ def classify(m):
     # and strictly further left iff every consecutive pair is
     moving = {var for var, places in occ.items()
               if all(r1 < r2 and c1 > c2 for (r1, c1), (r2, c2) in zip(places, places[1:]))}
-    return Classification(True, frozenset(moving), len(moving) == len(occ))
+    return Classification(frozenset(moving), len(moving) == len(occ))
 
 
 @dataclass(frozen=True)

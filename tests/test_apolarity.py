@@ -12,10 +12,9 @@ from test_exactalg import rational_rank
 
 from levelalg import apolarity, exactalg, families, lmatrix, multiindex
 from levelalg.apolarity import (GeneratorBlock, HomogeneousSubspace,
-                                build_matrix, derivative_coefficient,
-                                derivative_template, hilbert_value,
-                                hilbert_vector, standard_structure,
-                                sum_space_dimension)
+                                derivative_coefficient, derivative_template,
+                                hilbert_value, hilbert_vector, standard_structure,
+                                sum_space_dimension, symbolic_matrix)
 from levelalg.multiindex import count_constrained, enumerate_constrained
 
 P = exactalg.DEFAULT_PRIME
@@ -121,8 +120,15 @@ def assembled(w, d):
     return t.assemble([b.coeffs for b in w.blocks])
 
 
+def unbounded(w):
+    """The forms of a one-block subspace over the unbounded box ()."""
+    b = w.blocks[0]
+    return HomogeneousSubspace.from_sparse(
+        w.r, w.j, [dict(zip(b.support, z)) for z in b.coeffs.tolist()], (), w.p)
+
+
 def reference_build(generators, bounds, r, j, d, cropped, p=P):
-    """build_matrix entry by entry: symbolic grid, dense matrix, indexes."""
+    """A derivative matrix entry by entry: symbolic grid, dense matrix, indexes."""
     support = enumerate_constrained(r, j, bounds)
     index = {m: i for i, m in enumerate(support)}
     box = bounds if cropped else ()
@@ -215,7 +221,7 @@ class TestSubspace:
     @pytest.mark.parametrize("generators", [[], [{}], [{}, {}], [{(4, 0, 0): P}]])
     def test_no_nonzero_term_gives_zero_h(self, generators):
         w = HomogeneousSubspace.from_sparse(3, 4, generators)
-        assert hilbert_vector(w).values == (0,) * 5
+        assert hilbert_vector(w) == (0,) * 5
         assert HomogeneousSubspace.from_json(w.to_json()).to_json() == w.to_json()
 
     def test_prime_must_exceed_degree(self):
@@ -227,13 +233,13 @@ class TestHilbert:
     def test_single_monomial(self):
         # Ann-quotient of x^a y^b: h(d) = #divisors of degree d
         w = HomogeneousSubspace.from_sparse(2, 5, [{(3, 2): 1}])
-        assert hilbert_vector(w).values == (1, 2, 3, 3, 2, 1)
+        assert hilbert_vector(w) == (1, 2, 3, 3, 2, 1)
 
     def test_generic_binary_form(self):
         # catalecticant matrices of a generic binary form have maximal rank
         coeffs = exactalg.sample((1, 8), 0, "binary-form")
         w = HomogeneousSubspace.from_dense(2, 7, (), coeffs)
-        assert hilbert_vector(w).values == (1, 2, 3, 4, 4, 3, 2, 1)
+        assert hilbert_vector(w) == (1, 2, 3, 4, 4, 3, 2, 1)
 
     def test_out_of_range(self):
         w = HomogeneousSubspace.from_sparse(2, 3, [{(3, 0): 1}])
@@ -242,12 +248,9 @@ class TestHilbert:
 
     def test_vector_range(self):
         w = HomogeneousSubspace.from_sparse(2, 5, [{(3, 2): 1}])
-        hv = hilbert_vector(w, (2, 4))
-        assert hv.start == 2 and hv.values == (3, 3, 2)
-        assert list(hv.degrees) == [2, 3, 4]
-        assert hv.to_json() == {"j": 5, "start": 2, "h": [3, 3, 2]}
-        assert hilbert_vector(w, (-3, 2)).values == (0, 0, 0, 1, 2, 3)
-        assert hilbert_vector(w, (4, 3)).values == ()
+        assert hilbert_vector(w, (2, 4)) == (3, 3, 2)
+        assert hilbert_vector(w, (-3, 2)) == (0, 0, 0, 1, 2, 3)
+        assert hilbert_vector(w, (4, 3)) == ()
         with pytest.raises(ValueError, match="more than j"):
             hilbert_vector(w, (-3, 3))
 
@@ -258,7 +261,7 @@ class TestHilbert:
         m = comb(j + r - 1, r - 1)
         coeffs = exactalg.sample((s, m), seed, "symmetry-test")
         w = HomogeneousSubspace.from_dense(r, j, (), coeffs)
-        h = hilbert_vector(w).values
+        h = hilbert_vector(w)
         assert h[0] <= 1 and h[j] <= s
         for d in range(j + 1):
             assert h[d] <= comb(d + r - 1, r - 1)
@@ -270,36 +273,30 @@ class TestHilbert:
 class TestBuildMatrix:
     def test_crop_preserves_rank(self):
         w = HomogeneousSubspace.from_sparse(3, 6, [{(3, 3, 0): 1}])
-        b = w.blocks[0]
+        whole = unbounded(w)
         for d in range(7):
-            c = build_matrix(b.coeffs, b.bounds, 3, 6, d)
-            u = build_matrix(b.coeffs, b.bounds, 3, 6, d, cropped=False)
-            assert exactalg.rank(c.matrix) == exactalg.rank(u.matrix)
-            assert c.matrix.shape[1] <= u.matrix.shape[1]
+            assert hilbert_value(w, d) == hilbert_value(whole, d)
+            assert assembled(w, d).shape[1] <= assembled(whole, d).shape[1]
 
     def test_symbolic_matches_dense(self):
         coeffs = exactalg.sample((2, 4), 1, "symbolic-test")
-        b = ()
-        sym = build_matrix(coeffs, b, 2, 3, 1, symbolic=True)
-        den = build_matrix(coeffs, b, 2, 3, 1)
+        w = HomogeneousSubspace.from_dense(2, 3, (), coeffs)
+        sym = symbolic_matrix(2, 3, (), 1, 2)
         assignment = {}
-        support = list(apolarity.GeneratorBlock(2, 3, b, coeffs).support)
         for i in range(2):
-            for m, c in zip(support, coeffs[i]):
+            for m, c in zip(w.blocks[0].support, coeffs[i]):
                 assignment[(i, m)] = int(c)
         evaluated = exactalg.evaluate_symbolic(sym.matrix, assignment, P)
-        assert np.array_equal(evaluated, den.matrix)
+        assert np.array_equal(evaluated, assembled(w, 1))
 
     def test_symbolic_is_l_matrix_with_pattern(self):
-        coeffs = exactalg.sample((1, 12), 2, "pattern-test")
-        sym = build_matrix(coeffs, (2,), 3, 4, 2, symbolic=True)
+        sym = symbolic_matrix(3, 4, (2,), 2, 1)
         assert lmatrix.classify(sym.matrix).is_l_matrix
         assert lmatrix.verify_gq_pattern(sym.matrix, sym.structure)
 
     def test_standard_structure_sizes(self):
         st_ = standard_structure((2,), 3, 4, 2, s=1)
-        sym = build_matrix(exactalg.sample((1, 12), 2, "sizes-test"),
-                           (2,), 3, 4, 2, symbolic=True)
+        sym = symbolic_matrix(3, 4, (2,), 2, 1)
         for el in st_.poset.elements:
             rows = sum(1 for (e, _) in sym.row_index if e[:1] == el)
             cols = sum(1 for d in sym.col_index
@@ -312,7 +309,7 @@ class TestSumAndPredicate:
         v = HomogeneousSubspace.from_sparse(3, 6, [{(3, 3, 0): 1}])
         w = HomogeneousSubspace.from_sparse(3, 6, [{(3, 0, 3): 1}])
         for d in range(7):
-            assert sum_space_dimension(v, w, d).equals_split == (d >= 4)
+            assert sum_space_dimension(v, w, d)[1] == (d >= 4)
 
     def test_ambient_mismatch(self):
         v = HomogeneousSubspace.from_sparse(2, 3, [{(3, 0): 1}])
@@ -367,19 +364,20 @@ class TestSumAndPredicate:
     @settings(max_examples=60, deadline=None)
     def test_rank_mod_p_at_most_rational_rank(self, r, j, bounds, s, seed, p):
         # The integer derivative matrix n(J, E) z_{i,J}, with small integer
-        # z, reduces mod p to the matrix build_matrix assembles over GF(p);
+        # z, reduces mod p to the matrix the template assembles over GF(p);
         # reduction can only lose rank.
         bounds = tuple(min(q, j) for q in bounds[:r])
         support = enumerate_constrained(r, j, bounds)
         assume(support)
         index = {m: k for k, m in enumerate(support)}
         z = exactalg.sample((s, len(support)), seed, "rational-rank", p=5)
+        w = HomogeneousSubspace.from_dense(r, j, bounds, z, p)
         for d in range(j + 1):
-            sym = build_matrix(z, bounds, r, j, d, symbolic=True).matrix
+            sym = symbolic_matrix(r, j, bounds, d, s).matrix
             ints = np.array([[0 if cell is None else cell[0] * int(z[cell[1][0], index[cell[1][1]]])
                               for cell in row] for row in sym.entries],
                             dtype=np.int64).reshape(sym.nrows, sym.ncols)
-            assert np.array_equal(ints % p, build_matrix(z, bounds, r, j, d, p=p).matrix)
+            assert np.array_equal(ints % p, assembled(w, d))
             assert exactalg.rank(ints, p) <= rational_rank(ints)
 
 
@@ -464,23 +462,24 @@ class TestDerivativeTemplate:
     @pytest.mark.parametrize("r,j,bounds,s", [(3, 6, (3, 3), 2), (2, 5, (), 1),
                                               (4, 5, (2, 1, 2), 3), (3, 4, (4, 0, 4), 1)])
     def test_build_matrix_matches_reference(self, r, j, bounds, s):
+        # symbolic_matrix against the reference grid and indexes; the
+        # template's assembly of the box subspace against the cropped dense
+        # matrix, and of its re-expression over () against the uncropped one
         m = len(enumerate_constrained(r, j, bounds))
         coeffs = exactalg.sample((s, m), r + j, "build-reference")
+        w = HomogeneousSubspace.from_dense(r, j, bounds, coeffs)
         for d in range(j + 1):
-            for cropped in (True, False):
-                sym, dense, rows, cols = reference_build(coeffs, bounds, r, j, d, cropped)
-                num = build_matrix(coeffs, bounds, r, j, d, cropped=cropped)
-                assert np.array_equal(num.matrix, dense)
-                assert (num.row_index, num.col_index) == (rows, cols)
-                if not cropped:
-                    assert num.structure is None
-                    continue
-                want = standard_structure(bounds, r, j, d, s)
-                got = build_matrix(coeffs, bounds, r, j, d, symbolic=True)
-                assert got.matrix == sym
-                assert (got.row_index, got.col_index) == (rows, cols)
-                for st_ in (num.structure, got.structure):
-                    assert (st_.poset.q, st_.r, st_.c) == (want.poset.q, want.r, want.c)
+            for cropped, v in ((True, w), (False, unbounded(w))):
+                _, dense, _, cols = reference_build(coeffs, bounds, r, j, d, cropped)
+                assert np.array_equal(assembled(v, d), dense)
+                assert derivative_template(r, j, (v.blocks[0].bounds,), d, P).cols == cols
+            sym, _, rows, cols = reference_build(coeffs, bounds, r, j, d, True)
+            got = symbolic_matrix(r, j, bounds, d, s)
+            assert got.matrix == sym
+            assert (got.row_index, got.col_index) == (rows, cols)
+            want = standard_structure(bounds, r, j, d, s)
+            assert (got.structure.poset.q, got.structure.r, got.structure.c) == \
+                (want.poset.q, want.r, want.c)
 
 
 class TestStrictJson:

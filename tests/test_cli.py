@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -24,12 +25,19 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def run_python(*args, timeout):
-    """Run `python *args` from the repository root with src/ on the path."""
+def run_python(*args, timeout, address_space=None):
+    """Run `python *args` from the repository root with src/ on the path.
+
+    address_space, if given, caps the child's virtual memory in bytes.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    limit = None
+    if address_space is not None:
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
     return subprocess.run([sys.executable, *args], cwd=REPO, env=env, capture_output=True,
-                          text=True, timeout=timeout)
+                          text=True, timeout=timeout, preexec_fn=limit)
 
 
 class TestFamilyCommands:
@@ -93,6 +101,17 @@ class TestFamilyCommands:
         assert res.returncode == 2
         assert json.loads(res.stdout)["violations"] == ["s = 1 below the sufficient minimum 5"]
 
+    @pytest.mark.parametrize("action", ["verify", "type"])
+    def test_oversized_instance_refused_before_sampling(self, action):
+        # valid, but E's and F's coefficient arrays would take 5.2 and 37.6 GB;
+        # the cap turns a regression into a MemoryError, not a host-wide OOM
+        inst = '{"family":"G3","a":30,"b":31,"i":3000,"s":234}'
+        res = run_python("-m", "levelalg.cli", "family", action, inst, timeout=10,
+                         address_space=2 ** 30)
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr.startswith("error: the degree-3042 derivative matrix would be "
+                                     "235 x 4700917690") and res.stderr.count("\n") == 1
+
 
 class TestHilbert:
     def test_subspace_file(self, capsys, tmp_path):
@@ -114,6 +133,16 @@ class TestHilbert:
                            "--format", "csv")
         assert code == 0
         assert "d,h" in out and "1,2" in out and "3,3" in out
+
+    def test_range_start(self, capsys, tmp_path):
+        obj = {"r": 2, "j": 5,
+               "generators": [[{"monomial": [3, 2], "coeff": 1}]]}
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, "hilbert", str(path), "--range", "2..4")
+        assert code == 0
+        rep = json.loads(out)
+        assert (rep["start"], rep["h"]) == (2, [3, 3, 2])
 
     def test_range_past_j_plus_1_degrees_refused(self, capsys, tmp_path):
         # h is 0 outside 0..j: a wider range is refused before any value is

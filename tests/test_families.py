@@ -245,15 +245,23 @@ class TestConstruction:
         assert obj["verdict"] == "single_drop"
         assert obj["attempts"][0]["seed"] == 0
 
+    def test_construct_refuses_before_sampling(self):
+        # a valid G3 instance whose coefficient arrays would take 5.2 and
+        # 37.6 GB: the size guard refuses it before anything is drawn
+        p = require_valid("G3", a=30, b=31, i=3000, s=234)
+        with mock.patch.object(families.exactalg, "sample", side_effect=AssertionError):
+            with pytest.raises(ValueError, match="would be 235 x 4700917690"):
+                families.construct(p, 0)
+
 
 class TestSpecialConstructions:
     def test_bernstein_variants(self):
         base = special_construction("bernstein_t1")
-        h1 = apolarity.hilbert_vector(base).values
+        h1 = apolarity.hilbert_vector(base)
         assert h1 == BERNSTEIN_H
         for k, kind in ((2, "bernstein_t2"), (3, "bernstein_t3"),
                         (4, "bernstein_t4")):
-            h = apolarity.hilbert_vector(special_construction(kind)).values
+            h = apolarity.hilbert_vector(special_construction(kind))
             assert h[:2] == (1, 5)
             assert all(h[d] == h1[d] + (k - 1) for d in range(2, 17))
             assert h[16] == k
@@ -266,8 +274,8 @@ class TestSpecialConstructions:
         base = HomogeneousSubspaceFixture()
         ext = extend_codim(base.w, 2, "append")
         assert ext.r == base.w.r + 2
-        h0 = apolarity.hilbert_vector(base.w).values
-        h = apolarity.hilbert_vector(ext).values
+        h0 = apolarity.hilbert_vector(base.w)
+        h = apolarity.hilbert_vector(ext)
         # two pure powers add 2 everywhere strictly between the ends
         assert h[0] == 1 and h[base.w.j] == h0[base.w.j] + 2
         assert all(h[d] == h0[d] + 2 for d in range(1, base.w.j))
@@ -275,8 +283,8 @@ class TestSpecialConstructions:
     def test_extend_codim_summed(self):
         base = HomogeneousSubspaceFixture()
         ext = extend_codim(base.w, 1, "summed")
-        h0 = apolarity.hilbert_vector(base.w).values
-        h = apolarity.hilbert_vector(ext).values
+        h0 = apolarity.hilbert_vector(base.w)
+        h = apolarity.hilbert_vector(ext)
         # type preserved, interior values shifted up by one
         assert h[base.w.j] == h0[base.w.j]
         assert all(h[d] == h0[d] + 1 for d in range(1, base.w.j))

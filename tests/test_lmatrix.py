@@ -1,14 +1,13 @@
 """Symbolic PV/L-matrices, block patterns, and the nonsingularity criterion."""
 
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelalg import apolarity, exactalg
-from levelalg.gqposet import GQPoset, dominates
+from levelalg.gqposet import GQPoset, TopsetGuardExceeded, dominates
 from levelalg.lmatrix import (GQ_SHAPES, GQBlockStructure, SymbolicMatrix, classify,
                               det_is_nonzero, exact_det_polynomial,
                               gq3_criterion, random_gq_structure,
@@ -226,8 +225,7 @@ class TestCriterion:
         # GF(p) rank is 5 at any coefficients, so h(4) = 5, not 6.
         r, j, box, d, s = 3, 5, (2, 2, 2), 4, 2
         width = count_constrained(r, j, box)
-        sym = apolarity.build_matrix(np.ones((s, width), dtype=np.int64), box, r, j, d,
-                                     symbolic=True)
+        sym = apolarity.symbolic_matrix(r, j, box, d, s)
         m = sym.matrix
         assert (m.nrows, m.ncols) == (6, 6)
         assert classify(m).is_l_matrix and verify_gq_pattern(m, sym.structure)
@@ -236,7 +234,43 @@ class TestCriterion:
         assert not det_is_nonzero(m, "randomized")
         for seed in range(3):
             z = exactalg.sample((s, width), seed, "singular-derivative")
-            assert exactalg.rank(apolarity.build_matrix(z, box, r, j, d).matrix) == 5
+            w = apolarity.HomogeneousSubspace.from_dense(r, j, box, z)
+            assert apolarity.hilbert_value(w, d) == 5
+
+    def test_matches_det_on_derivative_matrices(self):
+        # Every square symbolic derivative matrix of 1-7 rows with r <= 3,
+        # 1 <= j <= 5, s <= 3, any bound tuple and any d; a box whose degree-j
+        # support is empty gives the zero matrix and is skipped.
+        free, bounded, singular, refused = 0, 0, [], []
+        for r, j in product(range(1, 4), range(1, 6)):
+            boxes = (box for nb in range(r + 1)
+                     for box in product(range(j + 1), repeat=nb))
+            for box, s, d in product(boxes, range(1, 4), range(j + 1)):
+                n = s * count_constrained(r, j - d, box)
+                if not (1 <= n <= 7 and n == count_constrained(r, d, box)
+                        and count_constrained(r, j, box)):
+                    continue
+                sym = apolarity.symbolic_matrix(r, j, box, d, s)
+                assert classify(sym.matrix).is_l_matrix
+                assert verify_gq_pattern(sym.matrix, sym.structure)
+                try:
+                    assert gq3_criterion(sym.structure)
+                except TopsetGuardExceeded:
+                    refused.append((r, j, box, s, d))
+                    continue
+                nonzero = det_is_nonzero(sym.matrix, "exact")
+                if len(box) < r or max(box) >= j:  # a free coordinate
+                    free += 1
+                    assert nonzero
+                else:
+                    bounded += 1
+                    if not nonzero:
+                        singular.append((r, j, box, s, d))
+        assert (free, bounded) == (585, 395)
+        assert singular == [(3, 5, (2, 2, 2), 2, 4)]
+        # G_Q of 80 elements: more topsets than the guard admits, at 4 rows
+        assert refused == [(3, 4, box, 1, 2) for box in product((3, 4), repeat=3)
+                           if box != (3, 3, 3)]
 
     @given(seed=st.integers(0, 10 ** 6), scale=st.sampled_from([1, 7, 2 ** 61]))
     @settings(max_examples=150, deadline=None)
