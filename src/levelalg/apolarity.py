@@ -205,8 +205,6 @@ class _BlockTemplate:
     descending lex support has ascending keys.  `keys` ends in a sentinel.
     """
 
-    support: tuple  # support monomials J
-    rows: tuple  # operator exponents E
     keys: np.ndarray  # key(J) per support position, then the sentinel 1
     fact: np.ndarray  # prod_k J_k! mod p, by support position
     row_keys: np.ndarray  # key(E) per row exponent
@@ -216,14 +214,13 @@ class _BlockTemplate:
 
     def __post_init__(self):
         for v in vars(self).values():
-            if isinstance(v, np.ndarray):
-                v.flags.writeable = False
+            v.flags.writeable = False
 
     def positions(self):
-        """Support position of D + E per (E, D), len(support) where D + E leaves it."""
+        """Support position of D + E per (E, D), the support size where D + E leaves it."""
         keys = self.row_keys[:, None] + self.col_keys
         pos = np.searchsorted(self.keys, keys)
-        pos[self.keys[pos] != keys] = len(self.support)
+        pos[self.keys[pos] != keys] = len(self.keys) - 1
         return pos
 
 
@@ -237,21 +234,21 @@ class DerivativeTemplate:
     """
 
     p: int
-    cols: tuple  # union of the blocks' columns D, descending lex
+    ncols: int  # size of the union of the blocks' columns D
     blocks: tuple  # of _BlockTemplate
 
     def assemble(self, coeffs):
         """The dense matrix mod p, given one coefficient array per block."""
-        p, ncols = self.p, len(self.cols)
-        out = np.zeros((sum(len(b.rows) * z.shape[0] for b, z in zip(self.blocks, coeffs)),
+        p, ncols = self.p, self.ncols
+        out = np.zeros((sum(len(b.row_keys) * z.shape[0] for b, z in zip(self.blocks, coeffs)),
                         ncols), dtype=np.int64)
         top = 0
         for part, z in zip(self.blocks, coeffs):
-            s, nrows = z.shape[0], len(part.rows) * z.shape[0]
-            zf = np.zeros((s, len(part.support) + 1), dtype=np.int64)
+            s, nrows = z.shape[0], len(part.row_keys) * z.shape[0]
+            zf = np.zeros((s, len(part.keys)), dtype=np.int64)
             zf[:, :-1] = z % p * part.fact % p
             vals = zf[:, part.positions()] * part.invfact % p
-            view = out[top:top + nrows].reshape(len(part.rows), s, ncols)
+            view = out[top:top + nrows].reshape(len(part.row_keys), s, ncols)
             view[:, :, part.col_map] = vals.transpose(1, 0, 2)
             top += nrows
         return out
@@ -263,7 +260,7 @@ def derivative_template(r, j, block_bounds, d, p):
 
     Block rows are the operator exponents E of degree j-d and block columns
     the targets D of degree d, both inside the block's box; the template's
-    columns are the union of the blocks'.
+    columns are the union of the blocks' in ascending key order.
     """
     if j >= p:
         raise ValueError("prime %d too small for degree %d" % (p, j))
@@ -274,27 +271,26 @@ def derivative_template(r, j, block_bounds, d, p):
     fact = np.array(fact, dtype=np.int64)
     weights = -(j + 1) ** np.arange(r - 1, -1, -1, dtype=np.int64)
 
-    def key(monos):
-        return np.array(monos, dtype=np.int64).reshape(len(monos), r) @ weights
+    def monomials(e, bounds):  # the box's degree-e monomials, one int64 row each
+        monos = enumerate_constrained(r, e, bounds)
+        return np.array(monos, dtype=np.int64).reshape(len(monos), r)
 
     def prod_mod(tab, monos):
         out = np.ones(len(monos), dtype=np.int64)
-        for exps in np.array(monos, dtype=np.intp).reshape(len(monos), r).T:
+        for exps in monos.T:
             out = out * tab[exps] % p
         return out
 
-    block_cols = [enumerate_constrained(r, d, bounds) for bounds in block_bounds]
-    union = sorted(set().union(*block_cols), reverse=True)
-    col_of = {m: i for i, m in enumerate(union)}
+    cols = [monomials(d, bounds) for bounds in block_bounds]
+    col_keys = [c @ weights for c in cols]
+    union = np.array(sorted(set().union(*(k.tolist() for k in col_keys))), dtype=np.int64)
     parts = []
-    for bounds, cols in zip(block_bounds, block_cols):
-        support = enumerate_constrained(r, j, bounds)
-        rows = enumerate_constrained(r, j - d, bounds)
-        parts.append(_BlockTemplate(
-            tuple(support), tuple(rows), np.append(key(support), 1), prod_mod(fact, support),
-            key(rows), key(cols), prod_mod(invfact, cols),
-            np.array([col_of[m] for m in cols], dtype=np.intp)))
-    return DerivativeTemplate(p, tuple(union), tuple(parts))
+    for bounds, c, ck in zip(block_bounds, cols, col_keys):
+        support = monomials(j, bounds)
+        parts.append(_BlockTemplate(np.append(support @ weights, 1), prod_mod(fact, support),
+                                    monomials(j - d, bounds) @ weights, ck,
+                                    prod_mod(invfact, c), np.searchsorted(union, ck)))
+    return DerivativeTemplate(p, len(union), tuple(parts))
 
 
 @dataclass(frozen=True)
@@ -340,12 +336,12 @@ def symbolic_matrix(r, j, bounds, d, s):
     check_cells(r, j, d, ((bounds, s),))
     # positions of D + E in the support do not depend on p
     part = derivative_template(r, j, (bounds,), d, exactalg.DEFAULT_PRIME).blocks[0]
-    sup, miss = part.support, len(part.support)
+    sup, rows = enumerate_constrained(r, j, bounds), enumerate_constrained(r, j - d, bounds)
     mat = SymbolicMatrix(tuple(
-        tuple(None if q == miss else (derivative_coefficient(sup[q], ee), (i, sup[q]))
+        tuple(None if q == len(sup) else (derivative_coefficient(sup[q], ee), (i, sup[q]))
               for q in prow)
-        for ee, prow in zip(part.rows, part.positions().tolist()) for i in range(s)))
-    return DerivativeMatrix(mat, tuple((ee, i) for ee in part.rows for i in range(s)),
+        for ee, prow in zip(rows, part.positions().tolist()) for i in range(s)))
+    return DerivativeMatrix(mat, tuple((ee, i) for ee in rows for i in range(s)),
                             tuple(enumerate_constrained(r, d, bounds)),
                             standard_structure(bounds, r, j, d, s))
 

@@ -32,6 +32,11 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse would exit 2; main exits 1 on a UsageError
+        raise UsageError(message)
+
+
 def _default_prime():
     env = os.environ.get("APOLARITY_PRIME")
     if env is None:
@@ -126,7 +131,7 @@ def _build_parser():
     common.add_argument("--retries", type=int, default=3)
     common.add_argument("--format", choices=("json", "csv", "pretty"),
                         default="json")
-    top = argparse.ArgumentParser(prog="levelalg", description=__doc__)
+    top = _Parser(prog="levelalg", description=__doc__)
     sub = top.add_subparsers(dest="command")
     p = sub.add_parser("hilbert", parents=[common])
     p.add_argument("subspace")
@@ -278,11 +283,11 @@ def _cmd_selftest(args, p):
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 1
     try:
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return 1
         p = args.prime if args.prime is not None else _default_prime()
         exactalg.check_prime(p)
         if args.retries < 0:

@@ -313,26 +313,17 @@ def special_construction(kind, seed=0, p=exactalg.DEFAULT_PRIME):
 
     bernstein_t1 is the single generator x4 f + x5 g with f, g random in the
     degree-15 part of k[x1,x2,x3] (r = 5, j = 16); t2, t3, t4 cumulatively
-    append the monomials x5^16, x4 x5^15, x4^2 x5^14.
+    append the monomials x5^16, x4 x5^15, x4^2 x5^14, each a block of its own.
     """
     if kind in ("bernstein_t1", "bernstein_t2", "bernstein_t3", "bernstein_t4"):
-        blocks = [_bernstein_block(seed, p)]
-        extras = {"bernstein_t1": 0, "bernstein_t2": 1,
-                  "bernstein_t3": 2, "bernstein_t4": 3}[kind]
-        tails = [(0, 0, 0, 0, 16), (0, 0, 0, 1, 15), (0, 0, 0, 2, 14)]
-        for t in tails[:extras]:
-            blocks.append(GeneratorBlock(5, 16, t, np.array([[1]])))
-        return HomogeneousSubspace(5, 16, tuple(blocks), p)
+        inner = enumerate_constrained(3, 15)
+        f = exactalg.sample((len(inner),), seed, "bernstein-f", p).tolist()
+        g = exactalg.sample((len(inner),), seed, "bernstein-g", p).tolist()
+        terms = {m + (1, 0): c for m, c in zip(inner, f)}
+        terms.update((m + (0, 1), c) for m, c in zip(inner, g))
+        tails = ((0, 0, 0, 0, 16), (0, 0, 0, 1, 15), (0, 0, 0, 2, 14))[:int(kind[-1]) - 1]
+        return HomogeneousSubspace.from_sparse(5, 16, [terms] + [{t: 1} for t in tails], p=p)
     raise FamilyError("unknown construction %r" % (kind,))
-
-
-def _bernstein_block(seed, p):
-    inner = enumerate_constrained(3, 15)
-    f = exactalg.sample((len(inner),), seed, "bernstein-f", p).tolist()
-    g = exactalg.sample((len(inner),), seed, "bernstein-g", p).tolist()
-    terms = {m + (1, 0): c for m, c in zip(inner, f)}
-    terms.update((m + (0, 1), c) for m, c in zip(inner, g))
-    return HomogeneousSubspace.from_sparse(5, 16, [terms], (15, 15, 15, 1, 1), p).blocks[0]
 
 
 def _full_bounds(block):
@@ -386,13 +377,26 @@ class CatalogEntry:
 
 
 def _family_recipe(family, t, base_i, shape):
-    """Instance of `family` with type t, raising i until s = t - u fits."""
+    """Instance of `family` with type t at the least i >= base_i with s = t - u <= m_P(j).
+
+    In F1, G1 and H1 neither m_P(j) (P leaves two coordinates free) nor
+    min_sufficient_s (j - i_f is fixed) falls as i grows, so the valid i, if
+    any, are an interval starting at that i: found by doubling and bisection.
+    """
     a, b, c = shape.get("a"), shape.get("b"), shape.get("c")
-    u = _shape(family, a, b, c, base_i)[4]
-    for i in range(base_i, base_i + 10001):
-        res = validate(family, a=a, b=b, c=c, i=i, s=t - u)
-        if res.valid:
-            return res.params.to_json()
+    s = t - _shape(family, a, b, c, base_i)[4]
+
+    def fits(i):  # s <= m_P(j)
+        return s <= count_constrained(*_shape(family, a, b, c, i)[:3])
+    lo, hi = base_i - 1, base_i  # fits(hi), and lo < base_i or not fits(lo)
+    while not fits(hi):
+        lo, hi = hi, 2 * hi - base_i + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    res = validate(family, a=a, b=b, c=c, i=hi, s=s)
+    if res.valid:
+        return res.params.to_json()
     raise FamilyError("no instance found for %s type %d" % (family, t))
 
 

@@ -46,10 +46,10 @@ class TopsetGuardExceeded(Exception):
 class FinitePoset:
     """A finite poset given by its elements and each element's upper covers.
 
-    covers[i] holds the indexes of the elements that cover elements[i] from
-    above, all smaller than i: the element list is a linear extension with
-    dominators first.  The topset matrix is generated on first use
-    (topset_matrix) and kept.
+    covers[i] holds the indexes, all smaller than i, of the elements that cover
+    elements[i] from above, and possibly of more or all of its dominators: the
+    element list is a linear extension with dominators first.  The topset
+    matrix is generated on first use (topset_matrix) and kept.
     """
 
     def __init__(self, elements, covers):

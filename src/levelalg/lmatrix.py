@@ -14,11 +14,11 @@ nonnegative value over every nonempty proper topset of G_Q.  It is not an
 `apolarity.symbolic_matrix(3, 5, (2, 2, 2), 4, 2)` of s = 2 forms is a 6 x 6
 L-matrix with the pattern and the criterion holds, yet its determinant is
 the zero polynomial: the derivative factors n(J, E) cancel.  Measured scope, over
-every square cropped derivative matrix of at most 7 rows with r <= 4,
-j <= 8 and s <= 3: where some coordinate is free (fewer bounds than r, or
-a bound >= j), the criterion and a nonzero determinant agreed in all 3925
-cases; where every coordinate is bounded below j, they agreed in 7040 and
-the criterion held over a zero determinant in 100.  The criterion was
+every square cropped derivative matrix of 1-7 rows with r <= 4, j <= 8, s <= 3,
+bounds up to j and a nonempty support: where some coordinate is free (fewer
+bounds than r, or a bound >= j), the criterion and a nonzero determinant agreed
+in all 4121 cases; where every coordinate is bounded below j, they agreed in
+7092 and the criterion held over a zero determinant in 100.  The criterion was
 never false on a derivative matrix, and on random_l_matrix draws, whose
 factors are random, no disagreement has been found.
 """
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exactalg
-from .gqposet import GQPoset, dominates, first_negative_topset
+from .gqposet import FinitePoset, GQPoset, dominates, first_negative_topset
 
 EXACT_DET_LIMIT = 7
 DET_TRIALS = 3  # evaluation points of the randomized determinant test
@@ -178,13 +178,17 @@ def gq3_criterion(structure):
     On a square structure they are one test: the empty and the full set
     both sum to 0, the only topset holding the minimum Q is the full set,
     every nonempty topset holds the maximum 0, and a bottomset sums to minus
-    its complement.  So the excesses are checked over every topset.
+    its complement.  So the excesses are checked over every topset of the
+    elements with a block, nonzero r_I or c_I: the excess is 0 off them, and
+    their topsets are the traces of G_Q's.  So the work follows the matrix.
     """
     if not structure.is_square:
         raise ValueError("criterion requires a square structure")
-    poset = structure.poset
-    excess = np.array([structure.excess(e) for e in poset.elements], dtype=object)
-    return bool(first_negative_topset(poset, excess.reshape(-1, 1))[0] < 0)
+    support = [e for e in structure.poset.elements if structure.r.get(e) or structure.c.get(e)]
+    sub = FinitePoset(support, [[k for k in range(i) if dominates(support[k], e)]
+                                for i, e in enumerate(support)])
+    excess = np.array([structure.excess(e) for e in support], dtype=object)
+    return bool(first_negative_topset(sub, excess.reshape(-1, 1))[0] < 0)
 
 
 def exact_det_polynomial(m):

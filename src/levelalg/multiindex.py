@@ -81,15 +81,6 @@ def _enumerate_cached(r, d, bounds):
         out.append(tuple(cur))
 
 
-def _monomial_count(nvars, d):
-    """Number of degree-d monomials in nvars unconstrained variables."""
-    if d < 0:
-        return 0
-    if nvars == 0:
-        return 1 if d == 0 else 0
-    return comb(d + nvars - 1, nvars - 1)
-
-
 def closed_form_count(r, d, bounds=(), j=None):
     """Closed-form m_Q(d), or None when no formula covers the input.
 
@@ -103,15 +94,15 @@ def closed_form_count(r, d, bounds=(), j=None):
       and product of the a_i = Q_i + 1.  For r = 3 and r = 4 the range
       extends down to d >= q-1, with a +1 correction at exactly d = q-2 and
       a plain binomial below every bound.
-    * n = r-3, d >= q: a sum of triangle numbers over the constrained block;
-      quadratic polynomial forms for r = 4 and r = 5.
+    * n = r-3, d >= q: quadratic forms for r = 4 and r = 5; beyond, the sum
+      over t <= q of C(d-t+2, 2) times m_Q(t) in the n bounded coordinates.
     """
     eff = effective_bounds(bounds, j, d)
     n = len(eff)
     if d < 0:
         return 0
     if n == 0:
-        return _monomial_count(r, d)
+        return count_constrained(r, d)
     a = [q + 1 for q in eff]
     q = sum(eff)
     if n == r:
@@ -162,26 +153,13 @@ def closed_form_count(r, d, bounds=(), j=None):
             num = a1 * a2 * (6 * d * d + 6 * (5 - a1 - a2) * d + c0)
             assert num % 12 == 0
             return num // 12
-        total = 0
-        for prefix in _prefixes(eff, d):
-            total += comb(d - sum(prefix) + 2, 2)
-        return total
+        return sum(count_constrained(n, t, eff) * comb(d - t + 2, 2) for t in range(q + 1))
     return None
 
 
 def _half(x):
     assert x % 2 == 0, "count formula gave an odd numerator"
     return x // 2
-
-
-def _prefixes(bounds, d):
-    """All tuples (d_1, ..., d_n) with 0 <= d_i <= bounds[i] and sum <= d."""
-    if not bounds:
-        yield ()
-        return
-    for head in range(min(bounds[0], d) + 1):
-        for tail in _prefixes(bounds[1:], d - head):
-            yield (head,) + tail
 
 
 def count_constrained(r, d, bounds=()):

@@ -459,6 +459,19 @@ class TestDerivativeTemplate:
             with pytest.raises(ValueError):
                 a[...] = 0
 
+    def test_columns_of_several_blocks(self):
+        # Bernstein t4 at d = 8: four blocks whose degree-8 columns overlap;
+        # each block column goes to its monomial's place in the union, sorted
+        # in descending lex order
+        w = families.special_construction("bernstein_t4")
+        bounds = tuple(b.bounds for b in w.blocks)
+        block_cols = [enumerate_constrained(5, 8, box) for box in bounds]
+        union = sorted(set().union(*block_cols), reverse=True)
+        t = derivative_template(5, 16, bounds, 8, w.p)
+        assert t.ncols == len(union) < sum(map(len, block_cols))
+        for part, cols in zip(t.blocks, block_cols):
+            assert part.col_map.tolist() == [union.index(m) for m in cols]
+
     @pytest.mark.parametrize("r,j,bounds,s", [(3, 6, (3, 3), 2), (2, 5, (), 1),
                                               (4, 5, (2, 1, 2), 3), (3, 4, (4, 0, 4), 1)])
     def test_build_matrix_matches_reference(self, r, j, bounds, s):
@@ -472,7 +485,7 @@ class TestDerivativeTemplate:
             for cropped, v in ((True, w), (False, unbounded(w))):
                 _, dense, _, cols = reference_build(coeffs, bounds, r, j, d, cropped)
                 assert np.array_equal(assembled(v, d), dense)
-                assert derivative_template(r, j, (v.blocks[0].bounds,), d, P).cols == cols
+                assert derivative_template(r, j, (v.blocks[0].bounds,), d, P).ncols == len(cols)
             sym, _, rows, cols = reference_build(coeffs, bounds, r, j, d, True)
             got = symbolic_matrix(r, j, bounds, d, s)
             assert got.matrix == sym

@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from levelalg import __version__, gqposet
+from levelalg import __version__, apolarity, gqposet
 from levelalg.cli import emit_report, main
 
 G3 = '{"family":"G3","a":4,"b":4,"i":8,"s":7}'
@@ -230,6 +230,19 @@ class TestOtherCommands:
         assert rep["is_l_matrix"] and rep["gq_pattern"]
         assert rep["gq3_criterion"] and rep["det_nonzero"]
 
+    def test_lmatrix_check_on_a_large_g_q(self, capsys):
+        # 6 x 6 over G_(3,3,4) of 80 elements: the criterion runs on the
+        # elements with a block, so it answers where G_Q has too many topsets
+        sym = apolarity.symbolic_matrix(3, 4, (3, 3, 4), 2, 1)
+        elements = sym.structure.poset.elements
+        obj = {"entries": [[0 if cell is None else [cell[0], str(cell[1])] for cell in row]
+                           for row in sym.matrix.entries],
+               "q": [3, 3, 4], "row_sizes": [sym.structure.r[e] for e in elements[::-1]],
+               "col_sizes": [sym.structure.c[e] for e in elements]}
+        code, out, _ = run(capsys, "lmatrix", "check", json.dumps(obj))
+        assert code == 0
+        assert '"gq3_criterion":true' in out and '"det_nonzero":true' in out
+
     def test_lmatrix_rejects_bad(self, capsys):
         code, out, _ = run(capsys, "lmatrix", "check",
                            '{"entries": [[[1, "x"], [1, "x"]]]}')
@@ -314,6 +327,30 @@ class TestScripts:
 class TestPlumbing:
     def test_no_command(self, capsys):
         assert run(capsys, )[0] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["hilbert", '{"r":1,"j":2,"generators":[]}', "--range", "-1..3"],
+        ["poset", "tpp"],
+        ["catalog", "--codim", "x", "--type", "1"],
+    ], ids=["range-below-0", "missing-q", "non-integer-codim"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["hilbert", "--help"])
+        assert exit_.value.code == 0 and "--range" in capsys.readouterr().out
+
+    def test_hilbert_leaves_numpy_ma_unimported(self):
+        # np.unique and np.union1d would import numpy.ma, a megabyte of peak memory
+        res = run_python("-c", "import json, sys\n"
+                         "from levelalg import cli, families\n"
+                         "w = families.special_construction('bernstein_t4')\n"
+                         "cli.main(['hilbert', json.dumps(w.to_json())])\n"
+                         "print('numpy.ma' in sys.modules)", timeout=30)
+        assert res.returncode == 0 and res.stdout.splitlines()[-1] == "False"
 
     def test_bad_prime(self, capsys):
         code, _, err = run(capsys, "family", "validate", G3, "--prime", "10")

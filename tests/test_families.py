@@ -266,6 +266,15 @@ class TestSpecialConstructions:
             assert all(h[d] == h1[d] + (k - 1) for d in range(2, 17))
             assert h[16] == k
 
+    def test_bernstein_blocks(self):
+        # one block per generator box: x4 f + x5 g, then each tail monomial
+        tails = [(0, 0, 0, 0, 16), (0, 0, 0, 1, 15), (0, 0, 0, 2, 14)]
+        for k in (1, 2, 3, 4):
+            w = special_construction("bernstein_t%d" % k, seed=k)
+            assert [b.bounds for b in w.blocks] == [(15, 15, 15, 1, 1)] + tails[:k - 1]
+            assert w.blocks[0].coeffs.shape == (1, 542)
+            assert [b.coeffs.tolist() for b in w.blocks[1:]] == [[[1]]] * (k - 1)
+
     def test_unknown_kind(self):
         with pytest.raises(FamilyError):
             special_construction("bernstein_t9")
@@ -328,6 +337,24 @@ class TestCatalog:
             res = validate_json(rec)
             assert res.valid, (r, t, rec)
             assert res.params.r == r and res.params.t == t
+
+    def test_recipes_at_the_least_i(self):
+        # the least i >= the base whose m_P(j) holds s = t - u forms
+        assert existence_catalog(3, 5).recipe == {"family": "F1", "a": 21, "i": 42, "s": 4}
+        assert existence_catalog(4, 3).recipe == \
+            {"family": "G1", "a": 3, "b": 4, "i": 13, "s": 2}
+        assert existence_catalog(5, 3).recipe == \
+            {"family": "H1", "a": 2, "b": 2, "c": 3, "i": 12, "s": 2}
+        # m_P(j) = 21 (i + 11) for a = 21: i = 47619036 is the first to hold s
+        assert existence_catalog(3, 10 ** 9).recipe == \
+            {"family": "F1", "a": 21, "i": 47619036, "s": 10 ** 9 - 1}
+        assert not validate("F1", a=21, i=47619035, s=10 ** 9 - 1).valid
+        assert existence_catalog(4, 10 ** 9).recipe["i"] == 62499986
+
+    def test_type_without_instance(self):
+        # s = 1 is below min_sufficient_s = 4 at i = 42, and it only grows with i
+        with pytest.raises(FamilyError, match="no instance found for F1 type 2"):
+            families._family_recipe("F1", 2, 42, {"a": 21})
 
     def test_realize_family_recipe(self):
         rec = existence_catalog(4, 3).recipe

@@ -1,24 +1,27 @@
 """Multi-index enumeration order and closed-form counts."""
 
+from itertools import product
 from math import comb
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelalg import multiindex
 from levelalg.multiindex import (closed_form_count, count_constrained,
                                  effective_bounds, enumerate_constrained)
+from levelalg.selfcheck import count_oracle
+
+
+def brute_list(r, d, bounds=()):
+    """M_Q(d) in descending lex order, filtered from every tuple with entries <= d."""
+    return sorted((m for m in product(range(d + 1), repeat=r)
+                   if sum(m) == d and all(x <= q for x, q in zip(m, bounds))), reverse=True)
 
 
 def brute_count(r, d, bounds=()):
-    """Count multi-indexes by filtering the unconstrained enumeration."""
-    n = len(bounds)
-    out = 0
-    for m in enumerate_constrained(r, d):
-        if all(m[k] <= bounds[k] for k in range(n)):
-            out += 1
-    return out
+    return len(brute_list(r, d, bounds))
 
 
 class TestEnumeration:
@@ -55,7 +58,7 @@ class TestEnumeration:
             assert all(m[k] <= bounds[k] for k in range(len(bounds)))
         for a, b in zip(out, out[1:]):
             assert a > b  # tuples compare lexicographically
-        assert len(out) == brute_count(r, d, bounds)
+        assert out == brute_list(r, d, bounds)
 
 
 class TestClosedForms:
@@ -101,6 +104,16 @@ class TestClosedForms:
             for d in range(q, q + 5):
                 assert closed_form_count(r, d, b, j=d + 1) == \
                     brute_count(r, d, b), (r, b, d)
+
+    @pytest.mark.parametrize("r", [6, 7])
+    def test_three_free_coordinates_past_r_5(self, r):
+        # the sum over the degree t of the bounded prefix, on every box of
+        # r - 3 bounds up to 3, from d = q to q + 4
+        for bounds in product(range(4), repeat=r - 3):
+            q = sum(bounds)
+            for d in range(q, q + 5):
+                assert closed_form_count(r, d, bounds) == count_oracle(r, d, bounds), \
+                    (r, bounds, d)
 
     def test_method_dispatch(self):
         # the series agrees with the closed form where one applies, and
