@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from itertools import accumulate
 
 import numpy as np
 
@@ -107,6 +107,7 @@ class HomogeneousSubspace:
         derivatives vanish outside its own box, so cropping to it never
         changes ranks.
         """
+        check_codes(r, j)  # before anything of length r is built
         terms = []
         for g in generators:
             for mono in g:
@@ -167,6 +168,12 @@ class HomogeneousSubspace:
                  exactalg.json_int(t["coeff"], "coeff", signed=True) for t in g}
                 for g in obj["generators"]]
         return cls.from_sparse(r, j, gens, bounds, p)
+
+
+def check_codes(r, j):
+    """Refuse r, j whose mixed-radix j+1 monomial codes would pass int64."""
+    if r >= 63 or (j + 1) ** r >= 2 ** 63:
+        raise ValueError("monomial codes overflow int64 for r=%d, j=%d" % (r, j))
 
 
 def check_cells(r, j, d, crops):
@@ -254,6 +261,15 @@ class DerivativeTemplate:
         return out
 
 
+@lru_cache(maxsize=16)
+def _factorials(j, p):
+    """Read-only int64 rows k! and 1/k! mod p for k = 0..j; k! by running products."""
+    fact = list(accumulate(range(1, j + 1), lambda f, k: f * k % p, initial=1))
+    tables = np.array([fact, [pow(f, -1, p) for f in fact]], dtype=np.int64)
+    tables.flags.writeable = False
+    return tables
+
+
 @lru_cache(maxsize=64)
 def derivative_template(r, j, block_bounds, d, p):
     """The DerivativeTemplate of blocks with these bounds at degree d, mod p.
@@ -264,11 +280,8 @@ def derivative_template(r, j, block_bounds, d, p):
     """
     if j >= p:
         raise ValueError("prime %d too small for degree %d" % (p, j))
-    if (j + 1) ** r >= 2 ** 63:
-        raise ValueError("monomial codes overflow int64 for r=%d, j=%d" % (r, j))
-    fact = [factorial(k) % p for k in range(j + 1)]
-    invfact = np.array([pow(f, -1, p) for f in fact], dtype=np.int64)
-    fact = np.array(fact, dtype=np.int64)
+    check_codes(r, j)
+    fact, invfact = _factorials(j, p)
     weights = -(j + 1) ** np.arange(r - 1, -1, -1, dtype=np.int64)
 
     def monomials(e, bounds):  # the box's degree-e monomials, one int64 row each

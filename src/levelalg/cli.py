@@ -1,24 +1,24 @@
 """Command-line front end.
 
-Subcommands:
-  hilbert <subspace.json> [--range a..b]   Hilbert values of a subspace
-  family validate|predict|verify|type <instance.json>
-  catalog --codim R --type T               existence catalog lookup
-  poset tpp|topsets --q Q1,Q2,...          topset enumeration / TPP check
-  lmatrix check <matrix.json>              PV/L classification and pattern
-  selftest [--full]                        randomized property suites
+Subcommands, each with --format json|csv|pretty:
+  hilbert <subspace.json> [--range a..b] [--prime P]      Hilbert values of a subspace
+  family validate|predict|verify|type <instance.json> [--seed S] [--prime P] [--retries N]
+  catalog --codim R --type T                              existence catalog lookup
+  poset tpp|topsets --q Q1,Q2,... [--trials N] [--seed S]  topsets / TPP check
+  lmatrix check <matrix.json>                             PV/L classification and pattern
+  selftest [--full] [--seed S]                            randomized property suites
 
-Arguments that look like JSON (leading "{") are parsed inline, otherwise
-treated as file paths.  Exit codes: 0 success / verdict pass, 2 verdict
-fail, 1 usage or input error.  All randomness derives from --seed; reports
-are emitted as canonical JSON (sorted keys) by default.
+Any other option is a usage error; every report states "p" and "seed", at
+their defaults (32749, 0) where the subcommand has no such option.  Arguments
+that look like JSON (leading "{") are parsed inline, otherwise treated as file
+paths.  Exit codes: 0 success / verdict pass, 2 verdict fail, 1 usage or input
+error.  All randomness derives from --seed; reports are canonical JSON by default.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import lru_cache
 from math import prod
@@ -35,17 +35,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit 2; main exits 1 on a UsageError
         raise UsageError(message)
-
-
-def _default_prime():
-    env = os.environ.get("APOLARITY_PRIME")
-    if env is None:
-        return exactalg.DEFAULT_PRIME
-    try:
-        p = int(env)
-    except ValueError:
-        raise UsageError("APOLARITY_PRIME is not an integer: %r" % (env,))
-    return p
 
 
 def _load_json(arg):
@@ -125,60 +114,62 @@ def emit_report(report, fmt="json"):
 
 @lru_cache(maxsize=None)
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--prime", type=int, default=None)
-    common.add_argument("--retries", type=int, default=3)
-    common.add_argument("--format", choices=("json", "csv", "pretty"),
-                        default="json")
     top = _Parser(prog="levelalg", description=__doc__)
+    top.set_defaults(seed=0, prime=exactalg.DEFAULT_PRIME, retries=3)  # each default, once
     sub = top.add_subparsers(dest="command")
-    p = sub.add_parser("hilbert", parents=[common])
+
+    def command(name, *options, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
+        for option in options:  # SUPPRESS: the top-level default stands unless given
+            p.add_argument(option, type=int, default=argparse.SUPPRESS)
+        return p
+
+    p = command("hilbert", "--prime")
     p.add_argument("subspace")
     p.add_argument("--range", dest="drange", default=None)
-    p = sub.add_parser("family", parents=[common])
+    p = command("family", "--seed", "--prime", "--retries")
     p.add_argument("action", choices=("validate", "predict", "verify", "type"))
     p.add_argument("instance")
-    p = sub.add_parser("catalog", parents=[common])
+    p = command("catalog")
     p.add_argument("--codim", type=int, required=True)
     p.add_argument("--type", dest="type_", type=int, required=True)
-    p = sub.add_parser("poset", parents=[common])
+    p = command("poset", "--seed")
     p.add_argument("action", choices=("tpp", "topsets"))
     p.add_argument("--q", required=True)
     p.add_argument("--trials", type=int, default=50)
-    p = sub.add_parser("lmatrix", parents=[common], description=(
+    p = command("lmatrix", description=(
         "gq3_criterion is the paper's topset test for a square G_Q block structure; on "
         "derivative matrices with every coordinate bounded below j it can hold over a zero "
         "determinant. det_nonzero is the exact check, reported for at most %d rows."
         % lmatrix.EXACT_DET_LIMIT))
     p.add_argument("action", choices=("check",))
     p.add_argument("matrix")
-    p = sub.add_parser("selftest", parents=[common])
-    p.add_argument("--full", action="store_true")
+    command("selftest", "--seed").add_argument("--full", action="store_true")
     return top
 
 
-def _base_report(command, p, seed):
-    return {"command": command, "p": p, "seed": seed, "version": __version__}
+def _base_report(command, args):
+    return {"command": command, "p": args.prime, "seed": args.seed, "version": __version__}
 
 
-def _cmd_hilbert(args, p):
+def _cmd_hilbert(args):
     obj = _load_json(args.subspace)
     try:
-        w = HomogeneousSubspace.from_json(obj, p)
+        w = HomogeneousSubspace.from_json(obj, args.prime)
     except (KeyError, TypeError, ValueError) as e:
         raise UsageError("bad subspace: %s" % e)
     rng = _parse_range(args.drange) if args.drange else None
     h = hilbert_vector(w, rng)
-    report = _base_report("hilbert", p, args.seed)
+    report = _base_report("hilbert", args)
     report.update({"r": w.r, "j": w.j, "start": rng[0] if rng else 0, "h": list(h)})
     return report, 0
 
 
-def _cmd_family(args, p):
+def _cmd_family(args):
     obj = _load_json(args.instance)
     res = families.validate_json(obj)
-    report = _base_report("family " + args.action, p, args.seed)
+    report = _base_report("family " + args.action, args)
     report["instance"] = obj
     if args.action == "validate":
         report["valid"] = res.valid
@@ -200,30 +191,30 @@ def _cmd_family(args, p):
         report["delta"] = [families.deltas(params, d)[1] for d in degrees]
         return report, 0
     if args.action == "verify":
-        dr = families.verify_drop(params, args.seed, args.retries, p)
+        dr = families.verify_drop(params, args.seed, args.retries, args.prime)
         report.update(dr.to_json())
         return report, 0 if dr.verdict != "mismatch" else 2
     if args.action == "type":
-        got = families.compute_type(params, args.seed, p)
+        got = families.compute_type(params, args.seed, args.prime)
         report["type"] = got
         report["expected"] = params.t
         return report, 0 if got == params.t else 2
     raise UsageError("unknown action %r" % (args.action,))
 
 
-def _cmd_catalog(args, p):
+def _cmd_catalog(args):
     entry = families.existence_catalog(args.codim, args.type_)
-    report = _base_report("catalog", p, args.seed)
+    report = _base_report("catalog", args)
     report.update(entry.to_json())
     return report, 0
 
 
-def _cmd_poset(args, p):
+def _cmd_poset(args):
     if args.trials < 0:
         raise UsageError("trials must be nonnegative")
     q = _parse_q(args.q)
     poset = GQPoset(q)
-    report = _base_report("poset " + args.action, p, args.seed)
+    report = _base_report("poset " + args.action, args)
     report["q"] = list(q)
     if args.action == "topsets":
         tops = enumerate_topsets(poset)
@@ -240,7 +231,7 @@ def _cmd_poset(args, p):
     return report, 2 if failed else 0
 
 
-def _cmd_lmatrix(args, p):
+def _cmd_lmatrix(args):
     obj = _load_json(args.matrix)
     structure = None
     try:
@@ -256,7 +247,7 @@ def _cmd_lmatrix(args, p):
     except (KeyError, TypeError, ValueError) as e:
         raise UsageError("bad matrix: %s" % e)
     cls = lmatrix.classify(m)
-    report = _base_report("lmatrix check", p, args.seed)
+    report = _base_report("lmatrix check", args)
     # SymbolicMatrix admits only PV grids: every nonzero cell is lam * var with lam >= 1
     report.update({"rows": m.nrows, "cols": m.ncols, "is_pv": True,
                    "is_l_matrix": cls.is_l_matrix,
@@ -274,9 +265,9 @@ def _cmd_lmatrix(args, p):
     return report, 0 if verdict else 2
 
 
-def _cmd_selftest(args, p):
+def _cmd_selftest(args):
     result = selfcheck.run_all(args.seed, quick=not args.full)
-    report = _base_report("selftest", p, args.seed)
+    report = _base_report("selftest", args)
     report.update(result)
     return report, 0 if result["passed"] else 2
 
@@ -288,14 +279,13 @@ def main(argv=None):
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        p = args.prime if args.prime is not None else _default_prime()
-        exactalg.check_prime(p)
+        exactalg.check_prime(args.prime)
         if args.retries < 0:
             raise UsageError("retries must be nonnegative")
         handler = {"hilbert": _cmd_hilbert, "family": _cmd_family,
                    "catalog": _cmd_catalog, "poset": _cmd_poset,
                    "lmatrix": _cmd_lmatrix, "selftest": _cmd_selftest}[args.command]
-        report, code = handler(args, p)
+        report, code = handler(args)
     except (UsageError, TopsetGuardExceeded, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 
 def effective_bounds(bounds, j=None, d=None):
@@ -91,9 +91,9 @@ def closed_form_count(r, d, bounds=(), j=None):
     * n = r: 0 once d exceeds q = sum of bounds.
     * n = r-1: product of (Q_i + 1) for d >= q.
     * n = r-2: P_n(2d - S_n + r)/2 for d >= q, where S_n / P_n are the sum
-      and product of the a_i = Q_i + 1.  For r = 3 and r = 4 the range
-      extends down to d >= q-1, with a +1 correction at exactly d = q-2 and
-      a plain binomial below every bound.
+      and product of the a_i = Q_i + 1.  For r <= 4 the same formula holds
+      at d = q-1, with a +1 correction at exactly d = q-2, and below every
+      bound the count is the plain binomial.
     * n = r-3, d >= q: quadratic forms for r = 4 and r = 5; beyond, the sum
       over t <= q of C(d-t+2, 2) times m_Q(t) in the n bounded coordinates.
     """
@@ -108,37 +108,17 @@ def closed_form_count(r, d, bounds=(), j=None):
     if n == r:
         return 0 if d > q else None
     if n == r - 1:
-        if d >= q:
-            p = 1
-            for x in a:
-                p *= x
-            return p
-        return None
+        return prod(a) if d >= q else None
     if n == r - 2:
-        s_n = sum(a)
-        p_n = 1
-        for x in a:
-            p_n *= x
-        if r == 3:
-            a1 = a[0]
-            if d >= q - 1:
-                return _half(a1 * (2 * d - a1 + 3))
-            if d == q - 2:
-                return _half(a1 * (2 * d - a1 + 3)) + 1
-            if d < a1:
-                return comb(d + 2, 2)
-            return None
-        if r == 4:
-            a1, a2 = sorted(a)
-            if d >= q - 1:
-                return _half(p_n * (2 * d - a1 - a2 + 4))
-            if d == q - 2:
-                return _half(p_n * (2 * d - a1 - a2 + 4)) + 1
-            if d < a1:
-                return comb(d + 3, 3)
-            return None
-        if d >= q:
-            return _half(p_n * (2 * d - s_n + r))
+        num = prod(a) * (2 * d - sum(a) + r)
+        assert num % 2 == 0  # S_n - r odd makes some a_i, so P_n, even
+        count = num // 2
+        if d >= q or (r <= 4 and d == q - 1):
+            return count
+        if r <= 4 and d == q - 2:
+            return count + 1
+        if r <= 4 and d < min(a):
+            return comb(d + r - 1, r - 1)
         return None
     if n == r - 3 and d >= q:
         if r == 4:
@@ -155,11 +135,6 @@ def closed_form_count(r, d, bounds=(), j=None):
             return num // 12
         return sum(count_constrained(n, t, eff) * comb(d - t + 2, 2) for t in range(q + 1))
     return None
-
-
-def _half(x):
-    assert x % 2 == 0, "count formula gave an odd numerator"
-    return x // 2
 
 
 def count_constrained(r, d, bounds=()):

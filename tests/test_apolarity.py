@@ -1,7 +1,11 @@
 """Derivative action, matrix construction, and Hilbert values."""
 
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -443,11 +447,29 @@ class TestDerivativeTemplate:
                 assert np.array_equal(assembled(w, d), oracle_matrix(w, d))
 
     def test_refuses_codes_beyond_int64(self):
-        # 4^40 > 2^63: mixed-radix codes would wrap and collide
-        w = HomogeneousSubspace.from_sparse(
-            40, 3, [{(1, 1, 1) + (0,) * 37: 1}, {(0,) * 39 + (3,): 1}], bounds=())
+        # 4^40 > 2^63: mixed-radix codes would wrap and collide, so the
+        # subspace is refused when it is built
         with pytest.raises(ValueError, match="overflow"):
-            hilbert_value(w, 1)
+            HomogeneousSubspace.from_sparse(
+                40, 3, [{(1, 1, 1) + (0,) * 37: 1}, {(0,) * 39 + (3,): 1}], bounds=())
+
+    @pytest.mark.parametrize("p", [211, 1009, P])
+    def test_factorial_tables(self, p):
+        fact, invfact = apolarity._factorials(200, p)
+        assert fact.tolist() == [factorial(k) % p for k in range(201)]
+        assert (fact * invfact % p).tolist() == [1] * 201
+        for a in (fact, invfact):
+            with pytest.raises(ValueError):
+                a[0] = 1
+
+    def test_long_single_variable_form(self):
+        # x^2000 with r = 1: h is 1 at each of 2001 degrees, one template per
+        # degree, and the factorial tables are built once, not per template
+        code = ("from levelalg.apolarity import HomogeneousSubspace, hilbert_vector\n"
+                "w = HomogeneousSubspace.from_sparse(1, 2000, [{(2000,): 1}])\n"
+                "assert hilbert_vector(w) == (1,) * 2001\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(apolarity.__file__).parents[1]))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=10)
 
     def test_cached_arrays_are_read_only(self):
         w = random_blocks(7)

@@ -290,6 +290,21 @@ class TestOtherCommands:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("subspace", [
+        '{"r":10000000,"j":1,"generators":[]}', '{"r":10000000,"j":1,"generators":[[]]}',
+        '{"r":100000000,"j":1,"generators":[]}', '{"r":1000000000,"j":1,"generators":[[]]}',
+        '{"r":10000000,"j":0,"generators":[]}', '{"r":63,"j":0,"generators":[]}',
+    ], ids=["r-1e7", "r-1e7-empty-generator", "r-1e8", "r-1e9-empty-generator", "j-0-r-1e7",
+            "j-0-r-63"])
+    def test_hostile_r_refused_before_building(self, subspace):
+        # r >= 63 or (j + 1)^r >= 2^63 is refused before any list of length r
+        # exists, so within the time and memory caps
+        res = run_python("-m", "levelalg.cli", "hilbert", subspace, timeout=10,
+                         address_space=2 ** 30)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.startswith("error: bad subspace: monomial codes overflow int64")
+        assert res.stderr.count("\n") == 1
+
     def test_selftest_quick(self, capsys):
         # every counter pinned: a change in the order of the random draws shows
         code, out, _ = run(capsys, "selftest", "--seed", "1")
@@ -358,15 +373,14 @@ class TestPlumbing:
 
     @pytest.mark.parametrize("prime", ["4294967311", "9223372036854775783"])
     def test_prime_too_large(self, capsys, prime):
-        code, _, err = run(capsys, "catalog", "--codim", "3", "--type", "5",
-                           "--prime", prime)
+        code, _, err = run(capsys, "family", "type", G3, "--prime", prime)
         assert code == 1 and "too large" in err
 
     def test_no_state_between_calls(self, capsys):
-        first = json.loads(run(capsys, "catalog", "--codim", "3", "--type", "5",
-                               "--seed", "5", "--prime", "101", "--format", "json")[1])
+        first = json.loads(run(capsys, "family", "type", G3, "--seed", "5", "--prime", "101",
+                               "--format", "json")[1])
         assert (first["seed"], first["p"]) == (5, 101)
-        code, out, _ = run(capsys, "catalog", "--codim", "3", "--type", "5")
+        code, out, _ = run(capsys, "family", "type", G3)
         assert code == 0 and (json.loads(out)["seed"], json.loads(out)["p"]) == (0, 32749)
         assert run(capsys, "catalog", "--codim", "3", "--type", "5",
                    "--format", "pretty")[1].startswith("codim: 3")
@@ -378,12 +392,34 @@ class TestPlumbing:
                              '"coeff":%s},{"monomial":[1,2],"coeff":1}]]}' % coeff)
         assert code == 1 and out == "" and "coeff" in err
 
-    def test_env_prime_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("APOLARITY_PRIME", "32749")
-        code, out, _ = run(capsys, "family", "type", G3)
-        assert code == 0 and json.loads(out)["p"] == 32749
+    def test_environment_sets_no_prime(self, capsys, monkeypatch):
+        # --prime is the only way to change the prime
+        want = run(capsys, "family", "type", G3)
         monkeypatch.setenv("APOLARITY_PRIME", "33")
-        assert run(capsys, "family", "type", G3)[0] == 1
+        assert run(capsys, "family", "type", G3) == want and want[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["hilbert", '{"r":1,"j":2,"generators":[]}', "--seed", "1"],
+        ["catalog", "--codim", "3", "--type", "5", "--seed", "1"],
+        ["lmatrix", "check", '{"entries":[[[1,"x"]]]}', "--seed", "1"],
+        ["catalog", "--codim", "3", "--type", "5", "--prime", "101"],
+        ["poset", "topsets", "--q", "1", "--prime", "101"],
+        ["lmatrix", "check", '{"entries":[[[1,"x"]]]}', "--prime", "101"],
+        ["selftest", "--prime", "7"],
+        ["hilbert", '{"r":1,"j":2,"generators":[]}', "--retries", "1"],
+        ["catalog", "--codim", "3", "--type", "5", "--retries", "1"],
+        ["poset", "tpp", "--q", "1", "--retries", "1"],
+        ["lmatrix", "check", '{"entries":[[[1,"x"]]]}', "--retries", "1"],
+        ["selftest", "--retries", "1"],
+    ], ids=lambda argv: argv[0] + argv[-2])
+    def test_option_the_command_does_not_read(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: unrecognized arguments: ") and err.count("\n") == 1
+
+    def test_defaults_reported_without_the_options(self, capsys):
+        code, out, _ = run(capsys, "catalog", "--codim", "3", "--type", "5")
+        assert code == 0 and '"p":32749,' in out and '"seed":0,' in out
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "family", "verify", G3, "--seed", "3")

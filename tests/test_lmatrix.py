@@ -1,5 +1,6 @@
 """Symbolic PV/L-matrices, block patterns, and the nonsingularity criterion."""
 
+from functools import cache
 from itertools import chain, combinations, product
 
 import pytest
@@ -22,12 +23,13 @@ def M(grid):
     return SymbolicMatrix.from_json(grid)
 
 
-def brute_topsets(poset):
-    """Every up-set of G_Q as a frozenset, by checking each subset (tiny posets)."""
-    els = poset.elements
+@cache
+def brute_topsets(q):
+    """Every up-set of G_q as a frozenset, by checking each subset (tiny posets; cached)."""
+    els = GQPoset(q).elements
     subsets = chain.from_iterable(combinations(els, k) for k in range(len(els) + 1))
-    return [frozenset(s) for s in subsets
-            if all(x in s for e in s for x in els if dominates(x, e))]
+    return tuple(frozenset(s) for s in subsets
+                 if all(x in s for e in s for x in els if dominates(x, e)))
 
 
 def family_criterion(structure, condition="topsets"):
@@ -37,7 +39,7 @@ def family_criterion(structure, condition="topsets"):
     poset = structure.poset
     elements = frozenset(poset.elements)
     top, bottom = (0,) * len(poset.q), poset.q
-    tops = [t for t in brute_topsets(poset) if t and t != elements]
+    tops = [t for t in brute_topsets(poset.q) if t and t != elements]
     if condition == "topsets":
         families, sign = tops, 1
     elif condition == "topsets_no_bottom":

@@ -98,6 +98,19 @@ class TestClosedForms:
                 if got is not None:
                     assert got == brute_count(4, d, b), (b, d)
 
+    @pytest.mark.parametrize("r,bounds", [(3, (4,)), (3, (7,)), (4, (2, 4)), (4, (3, 3)),
+                                          (4, (1, 5)), (5, (1, 2, 3)), (6, (2, 2, 1, 3))])
+    def test_two_free_coordinates_range(self, r, bounds):
+        # where the formula applies: for r <= 4 also at d = q-1, at d = q-2
+        # (one short) and below every bound (the plain binomial); past r = 4
+        # only from d = q on
+        q, low = sum(bounds), min(bounds) + 1
+        covered = [d for d in range(q + 3) if closed_form_count(r, d, bounds) is not None]
+        want = {*range(low), q - 2, q - 1} if r <= 4 else set()
+        assert covered == sorted(want | set(range(q, q + 3)))
+        for d in covered:
+            assert closed_form_count(r, d, bounds) == count_oracle(r, d, bounds), d
+
     def test_three_free_coordinates(self):
         for r, b in ((4, (2,)), (5, (2, 3)), (6, (1, 2, 2))):
             q = sum(b)
