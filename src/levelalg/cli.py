@@ -28,6 +28,9 @@ from .apolarity import HomogeneousSubspace, hilbert_vector
 from .gqposet import GQPoset, TopsetGuardExceeded, enumerate_topsets
 
 
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+
+
 class UsageError(Exception):
     pass
 
@@ -80,15 +83,52 @@ def _sizes(obj, key, n):
     return [exactalg.json_int(x, key) for x in sizes]
 
 
+def _canonical_encoder():
+    """A function writing any part of one report as canonical JSON.
+
+    The result equals json.dumps(part, sort_keys=True, separators=(",", ":")).
+    A list of scalars, such as an element of G_Q that many topsets share, is
+    encoded once and kept by id(), which stays unique while the report is
+    alive.  A list whose members are all kept is one str.join of their kept
+    strings, with no Python call per member.  Other lists of lists, and
+    dicts with string keys that hold one, join their members' encodings in
+    sorted key order; anything else, a small report included, is one call
+    of the json encoder.  Only scalar lists are kept: the encoding of a list
+    of lists is dropped once its parent has joined it, so the peak memory
+    stays below json.dumps's.
+    """
+    memo = {}
+
+    def encode(obj):
+        if type(obj) is dict and set(map(type, obj)) <= {str} and any(
+                type(v) is list and list in set(map(type, v)) for v in obj.values()):
+            return "{%s}" % ",".join([_dumps(k) + ":" + encode(v) for k, v in sorted(obj.items())])
+        if type(obj) is not list:
+            return _dumps(obj)
+        text = memo.get(id(obj))
+        if text is not None:
+            return text
+        try:
+            return "[%s]" % ",".join(map(memo.__getitem__, map(id, obj)))
+        except KeyError:  # a member not kept: not met yet, or not a scalar list
+            pass
+        if {list, dict} & set(map(type, obj)):
+            return "[%s]" % ",".join(map(encode, obj))
+        memo[id(obj)] = text = _dumps(obj)
+        return text
+    return encode
+
+
 def emit_report(report, fmt="json"):
     """Serialize a report dict: canonical json, flat csv, or pretty text.
 
-    Reports are trees the program builds, never cyclic, so the json encoder
-    skips its cycle check; shared sublists are written out in full as usual.
+    Both json and the csv's list and dict fields come from one
+    _canonical_encoder per report, so a shared list of scalars is encoded once.
+    Reports are trees the program builds, never cyclic, so no cycle check is made.
     """
+    encode = _canonical_encoder()
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, separators=(",", ":"),
-                          check_circular=False)
+        return encode(report)
     if fmt == "csv":
         lines = []
         if "h" in report and isinstance(report["h"], list):
@@ -101,7 +141,7 @@ def emit_report(report, fmt="json"):
                 continue
             val = report[key]
             if isinstance(val, (dict, list)):
-                val = json.dumps(val, sort_keys=True, separators=(",", ":"))
+                val = encode(val)
             lines.append("%s,%s" % (key, val))
         return "\n".join(lines)
     if fmt == "pretty":
@@ -221,6 +261,12 @@ def _cmd_poset(args):
         report["count"] = len(tops)
         report["topsets"] = tops
         return report, 0
+    # each trial is a pass over the topset matrix: bound their product
+    # before any function is drawn
+    cells = len(gqposet.topset_matrix(poset)) * max(len(poset), 64)
+    if args.trials * cells > gqposet.TRIAL_BUDGET:
+        raise UsageError("%d trials of %d topset-matrix cells pass the budget of %d cells"
+                         % (args.trials, cells, gqposet.TRIAL_BUDGET))
     # a trial fails when TPP or TAP does; the witness is the first failing
     # trial's topset, TPP before TAP
     failed = gqposet.random_trials(poset, exactalg.stream(args.seed, "cli-tpp"), args.trials)

@@ -33,6 +33,7 @@ from math import lcm, prod
 import numpy as np
 
 TOPSET_GUARD = 1 << 20
+TRIAL_BUDGET = 1 << 28  # poset tpp: trials times topset-matrix cells, counted as the guard counts them
 MAX_WEIGHT = 10  # largest weight in random_order_preserving
 _CHECK_CELLS = 1 << 20  # matrix and product cells per chunk of first_negative_topset
 _TRIAL_GROUP = 64  # functions per first_negative_topset call of random_trials

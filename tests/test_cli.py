@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from levelalg import __version__, apolarity, gqposet
+from levelalg import __version__, apolarity, cli, gqposet
 from levelalg.cli import emit_report, main
 
 G3 = '{"family":"G3","a":4,"b":4,"i":8,"s":7}'
@@ -219,6 +219,15 @@ class TestOtherCommands:
         assert code == 2
         assert json.loads(out)["witness"] == witness
 
+    def test_poset_tpp_trial_budget(self, capsys):
+        # G_(2,2) has 20 topset-matrix rows, counted as 20 x 64 cells
+        assert run(capsys, "poset", "tpp", "--q", "2,2", "--trials", "50")[0] == 0
+        with mock.patch.object(gqposet, "TRIAL_BUDGET", 10 * 20 * 64):
+            assert run(capsys, "poset", "tpp", "--q", "2,2", "--trials", "10")[0] == 0
+            code, out, err = run(capsys, "poset", "tpp", "--q", "2,2", "--trials", "11")
+        assert code == 1 and out == ""
+        assert err == "error: 11 trials of 1280 topset-matrix cells pass the budget of 12800 cells\n"
+
     def test_lmatrix_check(self, capsys, tmp_path):
         obj = {"entries": [[0, [1, "a"]], [[1, "b"], [1, "c"]]],
                "q": [1], "row_sizes": [1, 1], "col_sizes": [1, 1]}
@@ -260,6 +269,8 @@ class TestOtherCommands:
         ["poset", "tpp", "--q", "-1"],
         ["poset", "topsets", "--q", "-1"],
         ["poset", "tpp", "--q", "1", "--trials", "-3"],
+        # 10^8 trials of 3 x 64 topset-matrix cells: about 20 minutes of draws
+        ["poset", "tpp", "--q", "1", "--trials", "100000000"],
         ["poset", "topsets", "--q", "1048576"],
         # 8192 topsets pass the cell guard, but would list 33542145 members
         ["poset", "topsets", "--q", "8190"],
@@ -279,7 +290,7 @@ class TestOtherCommands:
                     '"constraint":{"bounds":[%s]}}' % (",0" * 7, ",".join(["24"] * 8))],
     ], ids=["no-sizes", "short-cell", "list-variable", "long-sizes", "float-lam",
             "bool-lam", "lmatrix-negative-q", "tpp-negative-q", "topsets-negative-q",
-            "negative-trials", "topsets-huge-q", "topsets-long-report", "lmatrix-huge-q", "lmatrix-short-sizes-big-q",
+            "negative-trials", "tpp-trials-past-budget", "topsets-huge-q", "topsets-long-report", "lmatrix-huge-q", "lmatrix-short-sizes-big-q",
             "hilbert-huge-support", "hilbert-empty-huge-support", "family-huge-matrix",
             "hilbert-long-support-list"])
     def test_hostile_input_exits_1(self, capsys, argv):
@@ -426,14 +437,41 @@ class TestPlumbing:
         _, out2, _ = run(capsys, "family", "verify", G3, "--seed", "3")
         assert out1 == out2
 
-    def test_canonical_json_with_shared_sublists(self):
-        # the same list object in many places, as in a `poset topsets` report
+    def test_canonical_json_with_shared_sublists(self, capsys):
+        # the same list object in many places, as in a `poset topsets` report:
+        # json and csv equal what json.dumps writes for the same report
+        def dumps(obj):
+            return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+        def csv(report):
+            return "\n".join("%s,%s" % (k, dumps(v) if isinstance(v, (dict, list)) else v)
+                             for k, v in sorted(report.items()))
         a, b = [0, 1], [2, "x"]
-        report = {"z": [[a, b], [a], [b, a]], "a": {"k": [a, a], "b": 1.5},
-                  "m": [[], None, True]}
-        want = json.dumps(report, sort_keys=True, separators=(",", ":"))
-        assert emit_report(report) == want
-        assert json.loads(want)["z"] == [[[0, 1], [2, "x"]], [[0, 1]], [[2, "x"], [0, 1]]]
+        reports = [
+            {"z": [[a, b], [a], [b, a]], "a": {"k": [a, a], "b": 1.5}, "m": [[], None, True]},
+            {"n": {"x": {"y": [[a], [b, a]], "e": []}, "w": {"v": [a]}}, "a": [a, [a, [a]]]},
+            {"f": [0.1, -0.0, 1e300, float("inf"), [2.5, a]], "s": ["é", "ü∞", [b, "→"]],
+             "e": [[], [[]], {}, [{}]], "ü": a},
+            {2: [[a], [b, a]], 10: [a]},  # keys json writes as strings, sorted as ints
+        ]
+        # `poset topsets` of the benchmark's shapes and four more, as main builds them
+        shapes = ((), (0,), (1, 1), (3, 3), (6,), (2, 3), (3, 4), (1, 2, 2), (2, 2, 2),
+                  (1, 1, 1, 1), (1, 1, 1, 1, 1))
+        for q in shapes:
+            with mock.patch.object(cli, "emit_report", lambda report, fmt: reports.append(report)
+                                   or emit_report(report, fmt)):
+                code, out, _ = run(capsys, "poset", "topsets", "--q", ",".join(map(str, q)))
+            assert code == 0 and out == dumps(reports[-1]) + "\n"
+        assert reports[-1]["count"] == 7579 and len(out) == 1470432
+        for report in reports:
+            assert emit_report(report) == dumps(report)
+            assert emit_report(report, "csv") == csv(report)
+        assert json.loads(dumps(reports[0]))["z"] == [[[0, 1], [2, "x"]], [[0, 1]], [[2, "x"], [0, 1]]]
+        # each list of scalars goes to json.dumps once, however many lists hold it
+        shared = {"t": [[a, b], [b]] * 1000}
+        with mock.patch.object(cli, "_dumps", side_effect=cli._dumps) as calls:
+            assert emit_report(shared) == dumps(shared)
+        assert [c.args[0] for c in calls.call_args_list] == ["t", a, b]
 
     def test_malformed_json(self, capsys):
         code, _, err = run(capsys, "family", "validate", "{not json")
