@@ -9,11 +9,14 @@ rank over GF(p) of a derivative coefficient matrix.
 Generators are stored in blocks; each block carries a bound tuple ("box")
 confining its monomial support.  A boxed derivative matrix has two views:
 `symbolic_matrix`, the L-matrix in the formal coefficients z_{i,J}, and its
-evaluation over GF(p), assembled by `derivative_template` and ranked by
-`hilbert_value`.  Both are cropped per block: rows range over operator
-exponents inside the box, columns over the union of the per-block target
-supports.  Cropping removes only all-zero rows and columns, so ranks match
-the uncropped matrix, which is the same forms over the unbounded box ().
+evaluation over GF(p).  The latter's entries n(J, E) z_i[J] = J!/D! z_i[J]
+(J = D + E) make it the gather z_i[J] J!, the contraction catalecticant of
+Iarrobino and Kanev (LNM 1721, App. A), times diag(1/D!), which is
+invertible for p > j: so `hilbert_value` ranks `DerivativeTemplate.gather`
+with no 1/D! factor.  Both views are cropped per block: rows range over
+operator exponents inside the box, columns over the union of the per-block
+target supports.  Cropping removes only all-zero rows and columns, so ranks
+match the uncropped matrix, which is the same forms over the unbounded box ().
 
 No derivative matrix over MAX_CELLS entries, and no monomial list over
 MAX_MONOMIALS, is built: `check_cells` counts them first and refuses them
@@ -215,17 +218,14 @@ class _BlockTemplate:
     keys: np.ndarray  # key(J) per support position, then the sentinel 1
     fact: np.ndarray  # prod_k J_k! mod p, by support position
     row_keys: np.ndarray  # key(E) per row exponent
-    col_keys: np.ndarray  # key(D) per block column
-    invfact: np.ndarray  # prod_k 1/D_k! mod p, per block column
-    col_map: np.ndarray  # block column -> template column
 
     def __post_init__(self):
         for v in vars(self).values():
             v.flags.writeable = False
 
-    def positions(self):
+    def positions(self, col_keys):
         """Support position of D + E per (E, D), the support size where D + E leaves it."""
-        keys = self.row_keys[:, None] + self.col_keys
+        keys = self.row_keys[:, None] + col_keys
         pos = np.searchsorted(self.keys, keys)
         pos[self.keys[pos] != keys] = len(self.keys) - 1
         return pos
@@ -235,75 +235,81 @@ class _BlockTemplate:
 class DerivativeTemplate:
     """Everything in a stacked derivative matrix except the coefficients z.
 
-    Entry ((E, i), D) of a block is n(J, E) z_i[pos(J)] with J = D + E and
-    n(J, E) = prod_k J_k! / D_k!: the gather (z * fact)[:, pos] * invfact mod p.
-    Positions are rebuilt per assembly; a template holds O(support) data.
+    Entry ((E, i), D) of a block is n(J, E) z_i[J] with J = D + E and
+    n(J, E) = prod_k J_k! / D_k!, so the derivative matrix is `gather`'s
+    z_i[J] J! times diag(1/D!).  That factor is invertible mod p > j and
+    leaves the rank alone, so `hilbert_value` ranks the gather itself.
+    Positions are rebuilt per gather; a template holds O(support) data.
     """
 
     p: int
-    ncols: int  # size of the union of the blocks' columns D
+    col_keys: np.ndarray  # key(D) per column, ascending: the union of the blocks' D
     blocks: tuple  # of _BlockTemplate
 
-    def assemble(self, coeffs):
-        """The dense matrix mod p, given one coefficient array per block."""
-        p, ncols = self.p, self.ncols
-        out = np.zeros((sum(len(b.row_keys) * z.shape[0] for b, z in zip(self.blocks, coeffs)),
-                        ncols), dtype=np.int64)
+    def gather(self, coeffs):
+        """The float64 residues (z_i * J!)[pos(D + E)] mod p, one coefficient array per block.
+
+        A column D outside a block's box puts D + E outside it too, so each
+        block searches its positions among all the columns, and such
+        entries read the sentinel's 0.
+        """
+        p, ncols = self.p, len(self.col_keys)
+        out = np.empty((sum(len(b.row_keys) * len(z) for b, z in zip(self.blocks, coeffs)), ncols))
         top = 0
         for part, z in zip(self.blocks, coeffs):
-            s, nrows = z.shape[0], len(part.row_keys) * z.shape[0]
-            zf = np.zeros((s, len(part.keys)), dtype=np.int64)
+            zf = np.zeros((len(z), len(part.keys)))
             zf[:, :-1] = z % p * part.fact % p
-            vals = zf[:, part.positions()] * part.invfact % p
-            view = out[top:top + nrows].reshape(len(part.row_keys), s, ncols)
-            view[:, :, part.col_map] = vals.transpose(1, 0, 2)
-            top += nrows
+            pos = part.positions(self.col_keys)
+            rows = out[top:top + len(part.row_keys) * len(z)]
+            view = rows.reshape(len(part.row_keys), len(z), ncols)
+            for i, zi in enumerate(zf):  # a gather per generator beats one strided copy
+                view[:, i] = zi[pos]
+            top += len(rows)
         return out
 
 
 @lru_cache(maxsize=16)
 def _factorials(j, p):
-    """Read-only int64 rows k! and 1/k! mod p for k = 0..j; k! by running products."""
-    fact = list(accumulate(range(1, j + 1), lambda f, k: f * k % p, initial=1))
-    tables = np.array([fact, [pow(f, -1, p) for f in fact]], dtype=np.int64)
-    tables.flags.writeable = False
-    return tables
+    """Read-only int64 k! mod p for k = 0..j, by running products."""
+    fact = np.array(list(accumulate(range(1, j + 1), lambda f, k: f * k % p, initial=1)),
+                    dtype=np.int64)
+    fact.flags.writeable = False
+    return fact
 
 
 @lru_cache(maxsize=64)
 def derivative_template(r, j, block_bounds, d, p):
     """The DerivativeTemplate of blocks with these bounds at degree d, mod p.
 
-    Block rows are the operator exponents E of degree j-d and block columns
-    the targets D of degree d, both inside the block's box; the template's
-    columns are the union of the blocks' in ascending key order.
+    Block rows are the operator exponents E of degree j-d inside the
+    block's box; the template's columns are the union of the blocks'
+    targets D of degree d, in ascending key order.
     """
     if j >= p:
         raise ValueError("prime %d too small for degree %d" % (p, j))
     check_codes(r, j)
-    fact, invfact = _factorials(j, p)
+    fact = _factorials(j, p)
     weights = -(j + 1) ** np.arange(r - 1, -1, -1, dtype=np.int64)
 
     def monomials(e, bounds):  # the box's degree-e monomials, one int64 row each
         monos = enumerate_constrained(r, e, bounds)
         return np.array(monos, dtype=np.int64).reshape(len(monos), r)
 
-    def prod_mod(tab, monos):
+    def prod_fact(monos):
         out = np.ones(len(monos), dtype=np.int64)
         for exps in monos.T:
-            out = out * tab[exps] % p
+            out = out * fact[exps] % p
         return out
 
-    cols = [monomials(d, bounds) for bounds in block_bounds]
-    col_keys = [c @ weights for c in cols]
-    union = np.array(sorted(set().union(*(k.tolist() for k in col_keys))), dtype=np.int64)
+    union = np.array(sorted(set().union(*((monomials(d, bounds) @ weights).tolist()
+                                          for bounds in block_bounds))), dtype=np.int64)
+    union.flags.writeable = False
     parts = []
-    for bounds, c, ck in zip(block_bounds, cols, col_keys):
+    for bounds in block_bounds:
         support = monomials(j, bounds)
-        parts.append(_BlockTemplate(np.append(support @ weights, 1), prod_mod(fact, support),
-                                    monomials(j - d, bounds) @ weights, ck,
-                                    prod_mod(invfact, c), np.searchsorted(union, ck)))
-    return DerivativeTemplate(p, len(union), tuple(parts))
+        parts.append(_BlockTemplate(np.append(support @ weights, 1), prod_fact(support),
+                                    monomials(j - d, bounds) @ weights))
+    return DerivativeTemplate(p, union, tuple(parts))
 
 
 @dataclass(frozen=True)
@@ -343,17 +349,18 @@ def symbolic_matrix(r, j, bounds, d, s):
     columns the box's monomials D of degree d, both in descending
     lexicographic order.  The entry at ((E, i), D) is n(J, E) z_{i,J} for
     J = D + E inside the box, else zero.  Evaluated at coefficients over
-    GF(p) it is the matrix `hilbert_value` ranks.
+    GF(p), with column D scaled by D!, it is the gather `hilbert_value` ranks.
     """
     bounds = tuple(bounds)
     check_cells(r, j, d, ((bounds, s),))
     # positions of D + E in the support do not depend on p
-    part = derivative_template(r, j, (bounds,), d, exactalg.DEFAULT_PRIME).blocks[0]
+    t = derivative_template(r, j, (bounds,), d, exactalg.DEFAULT_PRIME)
     sup, rows = enumerate_constrained(r, j, bounds), enumerate_constrained(r, j - d, bounds)
     mat = SymbolicMatrix(tuple(
         tuple(None if q == len(sup) else (derivative_coefficient(sup[q], ee), (i, sup[q]))
               for q in prow)
-        for ee, prow in zip(rows, part.positions().tolist()) for i in range(s)))
+        for ee, prow in zip(rows, t.blocks[0].positions(t.col_keys).tolist())
+        for i in range(s)))
     return DerivativeMatrix(mat, tuple((ee, i) for ee in rows for i in range(s)),
                             tuple(enumerate_constrained(r, d, bounds)),
                             standard_structure(bounds, r, j, d, s))
@@ -365,7 +372,7 @@ def hilbert_value(w, d):
         return 0
     check_cells(w.r, w.j, d, tuple((b.bounds, b.n_generators) for b in w.blocks))
     t = derivative_template(w.r, w.j, tuple(b.bounds for b in w.blocks), d, w.p)
-    return exactalg.rank(t.assemble([b.coeffs for b in w.blocks]), w.p)
+    return exactalg.rank(t.gather([b.coeffs for b in w.blocks]), w.p)
 
 
 def hilbert_vector(w, rng=None):

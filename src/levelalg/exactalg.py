@@ -2,8 +2,9 @@
 
 Everything downstream (Hilbert values, drop verification, the randomized
 determinant oracle) reduces to ranks of dense matrices over a prime field.
-Matrices are numpy int64 arrays with entries reduced mod p.  Two kernels
-eliminate them:
+Matrices are numpy int64 arrays, or float64 arrays of integers such as the
+residues `apolarity` gathers, which are reduced mod p only if they are not
+residues already.  Two kernels eliminate them:
 
 - `_eliminate` eliminates in int64 pivot by pivot, skipping dead columns,
   so its steps follow the rank, not the width.  Every product of two residues
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import operator
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -73,17 +75,21 @@ def is_prime(n):
     return True
 
 
+_is_prime_cached = lru_cache(maxsize=64)(is_prime)  # check_prime runs once per rank
+
+
 def check_prime(p):
     """Return p as an int if the int64 kernels are exact mod p, else raise ValueError.
 
     Products of two residues must stay below 2^63, so p may be at most
-    MAX_PRIME.
+    MAX_PRIME.  The primality verdict is cached per p; a refused p raises
+    on every call.
     """
     p = operator.index(p)
     if p > MAX_PRIME:
         raise ValueError("prime %d too large: the int64 kernels need p <= %d"
                          % (p, MAX_PRIME))
-    if not is_prime(p):
+    if not _is_prime_cached(p):
         raise ValueError("%d is not prime" % p)
     return p
 
@@ -247,38 +253,56 @@ def _rank_blocked(a, p, lead):
     return r
 
 
+def _fold(x, p):
+    """Reduce x, an array of integers, into [0, p) in place, unless it holds residues already."""
+    if x.size and (x.min() < 0 or x.max() >= p):
+        np.mod(x, p, out=x)
+
+
 def _staircase(a, p):
-    """(b, lead): the rows of a reduced mod p into float64, in order of lead.
+    """(b, lead): the rows of a as float64 residues mod p, in order of lead.
 
     lead is each row's first nonzero column in a as given, sorted stably;
     an entry that is a nonzero multiple of p only makes it smaller, which
-    `_rank_blocked` allows.  Both passes go _CHUNK_ROWS rows at a time, so
-    the only full-size array made is b.
+    `_rank_blocked` allows.  Rows already in lead order, as in a dense
+    matrix, are copied without a gather.  A float64 a is copied whole and
+    reduced only if it holds more than residues; an int a is reduced
+    _CHUNK_ROWS rows at a time, so the only full-size array made is b.
     """
     lead = np.empty(a.shape[0], dtype=np.int64)
     for s in range(0, a.shape[0], _CHUNK_ROWS):
         lead[s:s + _CHUNK_ROWS] = (a[s:s + _CHUNK_ROWS] != 0).argmax(axis=1)
-    order = np.argsort(lead, kind="stable")
-    b = np.empty(a.shape, dtype=np.float64)
-    for s in range(0, a.shape[0], _CHUNK_ROWS):
-        np.mod(a[order[s:s + _CHUNK_ROWS]], p, out=b[s:s + _CHUNK_ROWS])
-    return b, lead[order]
+    ordered = bool((lead[1:] >= lead[:-1]).all())
+    order = None if ordered else np.argsort(lead, kind="stable")
+    if a.dtype == np.float64:
+        b = a.copy(order="C") if ordered else a[order]
+        _fold(b, p)
+    else:
+        b = np.empty(a.shape, dtype=np.float64)
+        for s in range(0, a.shape[0], _CHUNK_ROWS):
+            rows = slice(s, s + _CHUNK_ROWS) if ordered else order[s:s + _CHUNK_ROWS]
+            np.mod(a[rows], p, out=b[s:s + _CHUNK_ROWS])
+    return b, lead if ordered else lead[order]
 
 
 def rank(mat, p=DEFAULT_PRIME):
     """Rank over GF(p) by Gaussian elimination on a copy.
 
-    All-zero rows and columns are dropped first; a derivative matrix over a
-    support box can be mostly such lines.  A tall matrix is eliminated as its
-    transpose (rank(A) = rank(A^T)), so the rows are the shorter side.  That
-    side over PANEL, and p at most FLOAT_PRIME_LIMIT, send the copy to the
-    blocked float64 kernel, its rows in order of their leading column so
-    that each panel is eliminated only over the rows that have started;
-    every other matrix goes to `_eliminate`, whose loop takes at most
-    2 * rank + 1 steps.
+    mat holds integers, as an int array or a float64 one (below 2^63 in
+    magnitude); float64 residues, as `DerivativeTemplate.gather` returns,
+    need no mod p pass and no int64 round trip.  All-zero rows and columns
+    are dropped first; a derivative matrix over a support box can be mostly
+    such lines.  A tall matrix is eliminated as its transpose (rank(A) =
+    rank(A^T)), so the rows are the shorter side.  That side over PANEL, and
+    p at most FLOAT_PRIME_LIMIT, send the copy to the blocked float64
+    kernel, its rows in order of their leading column so that each panel is
+    eliminated only over the rows that have started; every other matrix
+    goes to `_eliminate`, whose loop takes at most 2 * rank + 1 steps.
     """
     p = check_prime(p)
-    a = np.asarray(mat, dtype=np.int64)
+    a = np.asarray(mat)
+    if a.dtype != np.float64:
+        a = a.astype(np.int64, copy=False)
     if a.ndim != 2:
         raise ValueError("rank needs a 2-d matrix")
     rows, cols = a.any(axis=1), a.any(axis=0)
@@ -291,7 +315,9 @@ def rank(mat, p=DEFAULT_PRIME):
     if a.shape[0] > PANEL and p <= FLOAT_PRIME_LIMIT:
         b, lead = _staircase(a, p)
         return _rank_blocked(b, p, lead)
-    return _eliminate(np.mod(a, p, order="C"), p)[0]
+    a = a.astype(np.int64, order="C")  # the copy `_eliminate` works in
+    _fold(a, p)
+    return _eliminate(a, p)[0]
 
 
 def det(mat, p=DEFAULT_PRIME):

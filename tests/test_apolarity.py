@@ -4,7 +4,8 @@ import os
 import subprocess
 import sys
 from dataclasses import dataclass
-from math import comb, factorial
+from itertools import count
+from math import comb, factorial, prod
 from pathlib import Path
 from unittest import mock
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_exactalg import rational_rank
+from test_exactalg import FIRST_INT64_PRIME, LAST_FLOAT_PRIME, rational_rank
 
 from levelalg import apolarity, exactalg, families, lmatrix, multiindex
 from levelalg.apolarity import (GeneratorBlock, HomogeneousSubspace,
@@ -67,16 +68,25 @@ def apply_derivative(e_idx, f, p=None):
     return {m: c for m, c in out.items() if c != 0}
 
 
-def random_blocks(seed, p=P):
-    """A random multi-block subspace with r <= 4, j <= 7, bounded or not."""
+def random_blocks(seed, p=P, tall=False):
+    """A random multi-block subspace with r <= 4, j <= 7, bounded or not.
+
+    p=None takes the least prime above j.  A tall draw has r <= 3, j <= 5
+    and gives each block more generators than its box has monomials in any
+    degree, so its rows outnumber its columns wherever it has any.
+    """
     rng = exactalg.stream(seed, "template-oracle")
-    r, j = int(rng.integers(1, 5)), int(rng.integers(0, 8))
+    r, j = (int(rng.integers(1, 4)), int(rng.integers(0, 6))) if tall else \
+        (int(rng.integers(1, 5)), int(rng.integers(0, 8)))
+    p = p or next(q for q in count(j + 1) if exactalg.is_prime(q))
     blocks = []
     for _ in range(int(rng.integers(1, 4))):
         nb = int(rng.integers(0, r + 1))
         bounds = tuple(int(x) for x in rng.integers(0, j + 1, size=nb))
         m = len(enumerate_constrained(r, j, bounds))
-        coeffs = rng.integers(0, p, size=(int(rng.integers(1, 4)), m))
+        s = 1 + max(count_constrained(r, e, bounds) for e in range(j + 1)) if tall else \
+            int(rng.integers(1, 4))
+        coeffs = rng.integers(0, p, size=(s, m))
         coeffs[rng.random(coeffs.shape) < 0.2] = 0
         blocks.append(GeneratorBlock(r, j, bounds, coeffs))
     return HomogeneousSubspace(r, j, tuple(blocks), p)
@@ -119,9 +129,31 @@ def oracle_matrix(w, d):
     return np.array(rows, dtype=np.int64).reshape(len(rows), len(cols))
 
 
-def assembled(w, d):
+def column_factorials(w, d):
+    """D! mod p per column of w's degree-d matrix, as int64."""
+    cols = sorted({m for b in w.blocks for m in enumerate_constrained(w.r, d, b.bounds)},
+                  reverse=True)
+    return np.array([prod(map(factorial, m)) % w.p for m in cols], dtype=np.int64)
+
+
+def gathered(w, d):
     t = derivative_template(w.r, w.j, tuple(b.bounds for b in w.blocks), d, w.p)
-    return t.assemble([b.coeffs for b in w.blocks])
+    return t.gather([b.coeffs for b in w.blocks])
+
+
+def assembled(w, d):
+    """The derivative matrix mod p: the gather times diag(1/D!)."""
+    inv = [pow(int(f), -1, w.p) for f in column_factorials(w, d)]
+    return gathered(w, d).astype(np.int64) * np.array(inv, dtype=np.int64) % w.p
+
+
+def assert_gather_is_scaled_oracle(w, d):
+    """The gather is exactly oracle_matrix times diag(D!) mod p, in float64; returns the oracle."""
+    want = oracle_matrix(w, d)
+    got = gathered(w, d)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want * column_factorials(w, d) % w.p)
+    return want
 
 
 def unbounded(w):
@@ -280,7 +312,7 @@ class TestBuildMatrix:
         whole = unbounded(w)
         for d in range(7):
             assert hilbert_value(w, d) == hilbert_value(whole, d)
-            assert assembled(w, d).shape[1] <= assembled(whole, d).shape[1]
+            assert gathered(w, d).shape[1] <= gathered(whole, d).shape[1]
 
     def test_symbolic_matches_dense(self):
         coeffs = exactalg.sample((2, 4), 1, "symbolic-test")
@@ -395,7 +427,7 @@ class TestSizeGuard:
             crops = tuple((b.bounds, b.n_generators) for b in w.blocks)
             for d in (prm.i, w.j):
                 rows, cols = apolarity.check_cells(w.r, w.j, d, crops)
-                shape = assembled(w, d).shape
+                shape = gathered(w, d).shape
                 assert rows == shape[0] and cols >= shape[1]
                 assert cols == shape[1] or fam not in ("F1", "F2")
 
@@ -429,13 +461,16 @@ class TestSizeGuard:
 
 
 class TestDerivativeTemplate:
-    @given(seed=st.integers(0, 10 ** 6))
+    @given(seed=st.integers(0, 10 ** 6), tall=st.booleans(),
+           p=st.sampled_from([P, LAST_FLOAT_PRIME, FIRST_INT64_PRIME, None]))
     @settings(max_examples=60, deadline=None)
-    def test_matches_sparse_oracle(self, seed):
-        w = random_blocks(seed)
+    def test_matches_sparse_oracle(self, seed, tall, p):
+        # the last prime of the float64 kernel, the first of the int64 one,
+        # and (None) the least prime above j, on wide and tall subspaces;
+        # hilbert_value ranks the float gather, the oracle its int matrix
+        w = random_blocks(seed, p, tall)
         for d in range(w.j + 1):
-            want = oracle_matrix(w, d)
-            assert np.array_equal(assembled(w, d), want)
+            want = assert_gather_is_scaled_oracle(w, d)
             assert hilbert_value(w, d) == exactalg.rank(want, w.p)
 
     def test_prime_is_part_of_the_key(self):
@@ -444,7 +479,7 @@ class TestDerivativeTemplate:
         for p in (11, P, 11):
             w = HomogeneousSubspace.from_dense(3, 4, (3,), coeffs, p)
             for d in range(5):
-                assert np.array_equal(assembled(w, d), oracle_matrix(w, d))
+                assert_gather_is_scaled_oracle(w, d)
 
     def test_refuses_codes_beyond_int64(self):
         # 4^40 > 2^63: mixed-radix codes would wrap and collide, so the
@@ -455,12 +490,10 @@ class TestDerivativeTemplate:
 
     @pytest.mark.parametrize("p", [211, 1009, P])
     def test_factorial_tables(self, p):
-        fact, invfact = apolarity._factorials(200, p)
+        fact = apolarity._factorials(200, p)
         assert fact.tolist() == [factorial(k) % p for k in range(201)]
-        assert (fact * invfact % p).tolist() == [1] * 201
-        for a in (fact, invfact):
-            with pytest.raises(ValueError):
-                a[0] = 1
+        with pytest.raises(ValueError):
+            fact[0] = 1
 
     def test_long_single_variable_form(self):
         # x^2000 with r = 1: h is 1 at each of 2001 degrees, one template per
@@ -474,25 +507,33 @@ class TestDerivativeTemplate:
     def test_cached_arrays_are_read_only(self):
         w = random_blocks(7)
         t = derivative_template(w.r, w.j, tuple(b.bounds for b in w.blocks), 1, w.p)
-        arrays = [v for part in t.blocks for v in vars(part).values()
-                  if isinstance(v, np.ndarray)]
-        assert arrays
+        arrays = [t.col_keys] + [v for part in t.blocks for v in vars(part).values()
+                                 if isinstance(v, np.ndarray)]
+        assert len(arrays) > 1
         for a in arrays:
             with pytest.raises(ValueError):
                 a[...] = 0
 
     def test_columns_of_several_blocks(self):
-        # Bernstein t4 at d = 8: four blocks whose degree-8 columns overlap;
-        # each block column goes to its monomial's place in the union, sorted
-        # in descending lex order
+        # Bernstein t4 at d = 8: four blocks whose degree-8 columns overlap.
+        # The template's columns are their union in descending lex order,
+        # which is ascending key order, and each block gathers zeros in the
+        # union columns outside its own box.
         w = families.special_construction("bernstein_t4")
         bounds = tuple(b.bounds for b in w.blocks)
         block_cols = [enumerate_constrained(5, 8, box) for box in bounds]
         union = sorted(set().union(*block_cols), reverse=True)
         t = derivative_template(5, 16, bounds, 8, w.p)
-        assert t.ncols == len(union) < sum(map(len, block_cols))
-        for part, cols in zip(t.blocks, block_cols):
-            assert part.col_map.tolist() == [union.index(m) for m in cols]
+        assert len(t.col_keys) == len(union) < sum(map(len, block_cols))
+        assert t.col_keys.tolist() == [-sum(x * 17 ** (4 - k) for k, x in enumerate(m))
+                                       for m in union]
+        g, top = t.gather([b.coeffs for b in w.blocks]), 0
+        for part, b, cols in zip(t.blocks, w.blocks, block_cols):
+            rows = g[top:top + len(part.row_keys) * b.n_generators]
+            outside = [k for k, m in enumerate(union) if m not in cols]
+            assert outside and not rows[:, outside].any()
+            top += len(rows)
+        assert top == len(g)
 
     @pytest.mark.parametrize("r,j,bounds,s", [(3, 6, (3, 3), 2), (2, 5, (), 1),
                                               (4, 5, (2, 1, 2), 3), (3, 4, (4, 0, 4), 1)])
@@ -507,7 +548,7 @@ class TestDerivativeTemplate:
             for cropped, v in ((True, w), (False, unbounded(w))):
                 _, dense, _, cols = reference_build(coeffs, bounds, r, j, d, cropped)
                 assert np.array_equal(assembled(v, d), dense)
-                assert derivative_template(r, j, (v.blocks[0].bounds,), d, P).ncols == len(cols)
+                assert gathered(v, d).shape[1] == len(cols)
             sym, _, rows, cols = reference_build(coeffs, bounds, r, j, d, True)
             got = symbolic_matrix(r, j, bounds, d, s)
             assert got.matrix == sym

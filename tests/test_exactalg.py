@@ -149,6 +149,19 @@ class TestPrimality:
             exactalg.check_prime(32749 * 3)
 
 
+    def test_check_prime_caches_its_verdict(self):
+        # the Miller-Rabin verdict is kept per p; a refused p raises every time
+        exactalg._is_prime_cached.cache_clear()
+        for _ in range(3):
+            assert exactalg.check_prime(np.int64(32749)) == 32749
+            with pytest.raises(ValueError, match="not prime"):
+                exactalg.check_prime(32749 * 3)
+            with pytest.raises(TypeError):
+                exactalg.check_prime(32749.0)
+        info = exactalg._is_prime_cached.cache_info()
+        assert (info.hits, info.misses) == (4, 2)
+
+
 class TestStreams:
     def test_deterministic_and_label_separated(self):
         a1 = exactalg.sample((4, 4), 7, "alpha")
@@ -236,7 +249,7 @@ class TestRank:
         # G2 (a, b, i, s) = (4, 6, 14, 2) at degree 14: 601 x 441, rank 433
         w = families.construct(families.require_valid("G2", a=4, b=6, i=14, s=2), 0)
         t = apolarity.derivative_template(w.r, w.j, tuple(b.bounds for b in w.blocks), 14, w.p)
-        m = t.assemble([b.coeffs for b in w.blocks])
+        m = t.gather([b.coeffs for b in w.blocks])
         assert m.shape == (601, 441)
         assert blocked_rank(m.T, w.p) == oracle_rank(m, w.p) == exactalg.rank(m, w.p) == 433
 
@@ -285,6 +298,20 @@ class TestRank:
         elif k > fits * exactalg.PANEL:
             assert max(seen) > exactalg.PANEL * step + p
 
+    @pytest.mark.parametrize("p", BLOCKED_PRIMES)
+    @pytest.mark.parametrize("rows", [5, 100])
+    def test_float_input(self, p, rows):
+        # float64 integers rank as their int64 matrix, both ways round:
+        # residues are taken as they are, other values reduced first, up to
+        # multiples of p near 2^53
+        rng = exactalg.stream(p + rows, "float-input")
+        m = rng.integers(0, p, size=(rows, 40)) @ rng.integers(0, p, size=(40, 150)) % p
+        m[:, 7] = 0
+        want = oracle_rank(m, p)
+        for x in (m, m - p, m + (2 ** 53 // p - 1) * p, -m):
+            for y in (x, x.T):
+                assert exactalg.rank(y.astype(np.float64), p) == exactalg.rank(y, p) == want
+
     def test_large_prime_exact_or_refused(self):
         m = exactalg.sample((6, 6), 1, "big-prime", exactalg.MAX_PRIME)
         m[5] = (m[0] + m[1]) % exactalg.MAX_PRIME
@@ -323,6 +350,27 @@ class TestStaircase:
         b, lead = exactalg._staircase(m, p)
         assert lead.tolist() == sorted(lead.tolist()) and lead[-1] == 250
         assert_all_ways(m, p, want=18)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("ordered", [True, False])
+    def test_rows_in_lead_order(self, ordered, dtype):
+        # b holds the rows reduced mod p, stably in order of lead.  Rows
+        # already in that order, as in a dense matrix, are copied without
+        # the argsort gather.  Entries run from -3p to 3p, so float rows
+        # are reduced too.
+        p, rng = 97, exactalg.stream(5, "lead-order")
+        m = rng.integers(-3 * p, 3 * p, size=(200, 150))
+        for i, lead in enumerate(sorted(rng.integers(0, 150, size=200))):
+            m[i, :lead], m[i, lead] = 0, 1
+        if not ordered:
+            m = shuffled_rows(m, 5)
+        lead = (m != 0).argmax(axis=1)
+        order = np.argsort(lead, kind="stable")
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+            b, got = exactalg._staircase(m.astype(dtype), p)
+        assert spy.called != ordered
+        assert b.dtype == np.float64 and np.array_equal(b, m[order] % p)
+        assert got.tolist() == lead[order].tolist()
 
     @given(rows=st.integers(65, 160), cols=st.integers(66, 260),
            leads=st.lists(st.sampled_from([0, 1, 62, 63, 64, 65, 66, 127, 128, 129, 192])
@@ -365,7 +413,7 @@ class TestStaircase:
         w = families.construct(params, 0)
         for d in range(params.i, params.i_f + 1):
             t = apolarity.derivative_template(w.r, w.j, tuple(b.bounds for b in w.blocks), d, w.p)
-            m = t.assemble([b.coeffs for b in w.blocks])
+            m = t.gather([b.coeffs for b in w.blocks])
             short = m[np.ix_(m.any(axis=1), m.any(axis=0))]
             short = short if short.shape[0] <= short.shape[1] else short.T
             assert exactalg._staircase(short, w.p)[1][-1] >= exactalg.PANEL

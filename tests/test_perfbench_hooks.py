@@ -33,3 +33,21 @@ def test_wrapped_methods_exist():
     # Tracer.install also wraps these two by hand
     assert callable(levelalg.gqposet.GQPoset.__init__)
     assert callable(levelalg.apolarity.HomogeneousSubspace.from_json.__func__)
+
+
+def test_hilbert_value_ranks_through_the_public_rank(monkeypatch):
+    # exactalg.rank's traced calls and cells count the Hilbert values: one
+    # call per degree 0..j, on a matrix of the shape check_cells counts
+    # (exact here, for F1's nested boxes)
+    w = levelalg.families.construct(levelalg.families.require_valid("F1", a=4, i=8, s=14), 0)
+    rank, shapes = levelalg.exactalg.rank, []
+
+    def spy(mat, p=levelalg.exactalg.DEFAULT_PRIME):
+        shapes.append(mat.shape)
+        return rank(mat, p)
+
+    monkeypatch.setattr(levelalg.exactalg, "rank", spy)
+    h = levelalg.apolarity.hilbert_vector(w)
+    crops = tuple((b.bounds, b.n_generators) for b in w.blocks)
+    assert len(h) == w.j + 1
+    assert shapes == [levelalg.apolarity.check_cells(w.r, w.j, d, crops) for d in range(w.j + 1)]
