@@ -6,21 +6,25 @@ factorials.  For a subspace W spanned by degree-j forms, the Hilbert function
 of the level algebra R/Ann(W) is h(d) = dim R_{j-d} * W, computed here as the
 rank over GF(p) of a derivative coefficient matrix.
 
-Generators are stored in blocks; each block carries a bound tuple ("box")
-confining its monomial support.  A boxed derivative matrix has two views:
-`symbolic_matrix`, the L-matrix in the formal coefficients z_{i,J}, and its
-evaluation over GF(p).  The latter's entries n(J, E) z_i[J] = J!/D! z_i[J]
-(J = D + E) make it the gather z_i[J] J!, the contraction catalecticant of
-Iarrobino and Kanev (LNM 1721, App. A), times diag(1/D!), which is
-invertible for p > j: so `hilbert_value` ranks `DerivativeTemplate.gather`
-with no 1/D! factor.  Both views are cropped per block: rows range over
-operator exponents inside the box, columns over the union of the per-block
-target supports.  Cropping removes only all-zero rows and columns, so ranks
-match the uncropped matrix, which is the same forms over the unbounded box ().
+Generators are stored in blocks, each a pair of a bound tuple ("box")
+confining its monomial support and the generators' coefficients.  A boxed
+derivative matrix has two views: `symbolic_matrix`, the L-matrix in the
+formal coefficients z_{i,J}, and its evaluation over GF(p).  The latter's
+entries n(J, E) z_i[J] = J!/D! z_i[J] (J = D + E) make it the gather
+z_i[J] J!, the contraction catalecticant of Iarrobino and Kanev (LNM 1721,
+App. A), times diag(1/D!), which is invertible for p > j: so
+`hilbert_value` scales each block's coefficients by J! mod p and ranks
+their `DerivativeTemplate.gather`, with no 1/D! factor.  Where each z_i[J]
+lands depends on r, j, the boxes and d, not on p, so a template holds keys
+only.  Both views are cropped per block: rows range over operator
+exponents inside the box, columns over the union of the per-block target
+supports.  Cropping removes only all-zero rows and columns, so ranks match
+the uncropped matrix, which is the same forms over the unbounded box ().
 
 No derivative matrix over MAX_CELLS entries, and no monomial list over
 MAX_MONOMIALS, is built: `check_cells` counts them first and refuses them
-with a ValueError.
+with a ValueError; a subspace of socle degree j over MAX_DEGREE is refused
+when built, since its Hilbert vector and k! table have j + 1 entries.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +43,7 @@ from .multiindex import count_constrained, enumerate_constrained
 
 MAX_CELLS = 2 ** 24  # entries of the largest derivative matrix that is built
 MAX_MONOMIALS = 2 ** 18  # monomials in the longest support, row or column list
+MAX_DEGREE = 2 ** 16  # socle degree j: h has j + 1 values and the k! table j + 1 entries
 
 
 def derivative_coefficient(j_idx, e_idx):
@@ -51,35 +57,20 @@ def derivative_coefficient(j_idx, e_idx):
     return n
 
 
-@dataclass(frozen=True)
-class GeneratorBlock:
-    """Generators sharing a support box M_bounds(j), as dense coefficients."""
+class GeneratorBlock(NamedTuple):
+    """Generators sharing a support box M_bounds(j): one coefficient row per
+    generator, over the box's degree-j monomials in descending lex order."""
 
-    r: int
-    j: int
     bounds: tuple
     coeffs: np.ndarray  # shape (generators, m_bounds(j))
-
-    def __post_init__(self):
-        object.__setattr__(self, "bounds", tuple(self.bounds))
-        object.__setattr__(self, "coeffs", np.atleast_2d(np.asarray(self.coeffs, dtype=np.int64)))
-        width = count_constrained(self.r, self.j, self.bounds)
-        if self.coeffs.shape[1] != width:
-            raise ValueError("coefficient width %d != support size %d"
-                             % (self.coeffs.shape[1], width))
-
-    @property
-    def support(self):
-        return enumerate_constrained(self.r, self.j, self.bounds)
-
-    @property
-    def n_generators(self):
-        return self.coeffs.shape[0]
 
 
 @dataclass(frozen=True)
 class HomogeneousSubspace:
-    """A subspace of the degree-j forms, spanned by the blocks' generators."""
+    """A subspace of the degree-j forms, spanned by the blocks' generators.
+
+    Each (bounds, coeffs) pair of blocks becomes a GeneratorBlock of 2-d
+    int64 coefficients, checked to be as wide as the box's support."""
 
     r: int
     j: int
@@ -87,17 +78,20 @@ class HomogeneousSubspace:
     p: int = exactalg.DEFAULT_PRIME
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
         object.__setattr__(self, "p", exactalg.check_prime(self.p))
         if self.p <= self.j:
             raise ValueError("prime must exceed the socle degree")
-        for b in self.blocks:
-            if b.r != self.r or b.j != self.j:
-                raise ValueError("block ambient mismatch")
-
-    @classmethod
-    def from_dense(cls, r, j, bounds, coeffs, p=exactalg.DEFAULT_PRIME):
-        return cls(r, j, (GeneratorBlock(r, j, tuple(bounds), coeffs),), p)
+        if self.j > MAX_DEGREE:
+            raise ValueError("socle degree %d over the limit of %d" % (self.j, MAX_DEGREE))
+        blocks = []
+        for bounds, coeffs in self.blocks:
+            bounds, coeffs = tuple(bounds), np.atleast_2d(np.asarray(coeffs, dtype=np.int64))
+            width = count_constrained(self.r, self.j, bounds)
+            if coeffs.ndim != 2 or coeffs.shape[1] != width:
+                raise ValueError("coefficient width %d != support size %d"
+                                 % (coeffs.shape[-1], width))
+            blocks.append(GeneratorBlock(bounds, coeffs))
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     @classmethod
     def from_sparse(cls, r, j, generators, bounds=None, p=exactalg.DEFAULT_PRIME):
@@ -140,16 +134,15 @@ class HomogeneousSubspace:
                     if mono not in index:
                         raise ValueError("monomial %r outside the support box" % (mono,))
                     coeffs[gi, index[mono]] = coeff
-            blocks.append(GeneratorBlock(r, j, box, coeffs))
+            blocks.append((box, coeffs))
         return cls(r, j, tuple(blocks), p)
 
     def to_json(self):
         gens = []
-        for b in self.blocks:
-            support = b.support
-            for gi in range(b.n_generators):
-                gens.append([{"monomial": list(m), "coeff": int(c)}
-                             for m, c in zip(support, b.coeffs[gi]) if c])
+        for bounds, coeffs in self.blocks:
+            support = enumerate_constrained(self.r, self.j, bounds)
+            gens.extend([{"monomial": list(m), "coeff": c} for m, c in zip(support, z) if c]
+                        for z in coeffs.tolist())
         obj = {"r": self.r, "j": self.j, "generators": gens}
         if len(self.blocks) == 1:
             obj["constraint"] = {"bounds": list(self.blocks[0].bounds)}
@@ -216,7 +209,6 @@ class _BlockTemplate:
     """
 
     keys: np.ndarray  # key(J) per support position, then the sentinel 1
-    fact: np.ndarray  # prod_k J_k! mod p, by support position
     row_keys: np.ndarray  # key(E) per row exponent
 
     def __post_init__(self):
@@ -233,32 +225,32 @@ class _BlockTemplate:
 
 @dataclass(frozen=True)
 class DerivativeTemplate:
-    """Everything in a stacked derivative matrix except the coefficients z.
+    """Where each coefficient lands in a stacked derivative matrix: keys only, no prime.
 
     Entry ((E, i), D) of a block is n(J, E) z_i[J] with J = D + E and
-    n(J, E) = prod_k J_k! / D_k!, so the derivative matrix is `gather`'s
+    n(J, E) = prod_k J_k! / D_k!, so the derivative matrix is the gather of
     z_i[J] J! times diag(1/D!).  That factor is invertible mod p > j and
-    leaves the rank alone, so `hilbert_value` ranks the gather itself.
-    Positions are rebuilt per gather; a template holds O(support) data.
+    leaves the rank alone, so `hilbert_value` scales z by J! mod p and ranks
+    the gather itself.  Positions are rebuilt per gather; a template holds
+    O(support) data.
     """
 
-    p: int
     col_keys: np.ndarray  # key(D) per column, ascending: the union of the blocks' D
     blocks: tuple  # of _BlockTemplate
 
     def gather(self, coeffs):
-        """The float64 residues (z_i * J!)[pos(D + E)] mod p, one coefficient array per block.
+        """The float64 matrix coeffs[pos(D + E)], one 2-d coefficient array per block.
 
         A column D outside a block's box puts D + E outside it too, so each
         block searches its positions among all the columns, and such
         entries read the sentinel's 0.
         """
-        p, ncols = self.p, len(self.col_keys)
+        ncols = len(self.col_keys)
         out = np.empty((sum(len(b.row_keys) * len(z) for b, z in zip(self.blocks, coeffs)), ncols))
         top = 0
         for part, z in zip(self.blocks, coeffs):
             zf = np.zeros((len(z), len(part.keys)))
-            zf[:, :-1] = z % p * part.fact % p
+            zf[:, :-1] = z
             pos = part.positions(self.col_keys)
             rows = out[top:top + len(part.row_keys) * len(z)]
             view = rows.reshape(len(part.row_keys), len(z), ncols)
@@ -266,6 +258,12 @@ class DerivativeTemplate:
                 view[:, i] = zi[pos]
             top += len(rows)
         return out
+
+
+def _monomials(r, e, bounds):
+    """The box's degree-e monomials, one int64 row each, in descending lex order."""
+    monos = enumerate_constrained(r, e, bounds)
+    return np.array(monos, dtype=np.int64).reshape(len(monos), r)
 
 
 @lru_cache(maxsize=16)
@@ -278,38 +276,32 @@ def _factorials(j, p):
 
 
 @lru_cache(maxsize=64)
-def derivative_template(r, j, block_bounds, d, p):
-    """The DerivativeTemplate of blocks with these bounds at degree d, mod p.
+def _support_factorials(r, j, bounds, p):
+    """Read-only int64 J! = prod_k J_k! mod p per degree-j monomial J of the box."""
+    fact, monos = _factorials(j, p), _monomials(r, j, bounds)
+    out = np.ones(len(monos), dtype=np.int64)
+    for exps in monos.T:
+        out = out * fact[exps] % p
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=64)
+def derivative_template(r, j, block_bounds, d):
+    """The DerivativeTemplate of blocks with these bounds at degree d.
 
     Block rows are the operator exponents E of degree j-d inside the
     block's box; the template's columns are the union of the blocks'
     targets D of degree d, in ascending key order.
     """
-    if j >= p:
-        raise ValueError("prime %d too small for degree %d" % (p, j))
     check_codes(r, j)
-    fact = _factorials(j, p)
     weights = -(j + 1) ** np.arange(r - 1, -1, -1, dtype=np.int64)
-
-    def monomials(e, bounds):  # the box's degree-e monomials, one int64 row each
-        monos = enumerate_constrained(r, e, bounds)
-        return np.array(monos, dtype=np.int64).reshape(len(monos), r)
-
-    def prod_fact(monos):
-        out = np.ones(len(monos), dtype=np.int64)
-        for exps in monos.T:
-            out = out * fact[exps] % p
-        return out
-
-    union = np.array(sorted(set().union(*((monomials(d, bounds) @ weights).tolist()
+    union = np.array(sorted(set().union(*((_monomials(r, d, bounds) @ weights).tolist()
                                           for bounds in block_bounds))), dtype=np.int64)
     union.flags.writeable = False
-    parts = []
-    for bounds in block_bounds:
-        support = monomials(j, bounds)
-        parts.append(_BlockTemplate(np.append(support @ weights, 1), prod_fact(support),
-                                    monomials(j - d, bounds) @ weights))
-    return DerivativeTemplate(p, union, tuple(parts))
+    return DerivativeTemplate(union, tuple(
+        _BlockTemplate(np.append(_monomials(r, j, bounds) @ weights, 1),
+                       _monomials(r, j - d, bounds) @ weights) for bounds in block_bounds))
 
 
 @dataclass(frozen=True)
@@ -349,12 +341,11 @@ def symbolic_matrix(r, j, bounds, d, s):
     columns the box's monomials D of degree d, both in descending
     lexicographic order.  The entry at ((E, i), D) is n(J, E) z_{i,J} for
     J = D + E inside the box, else zero.  Evaluated at coefficients over
-    GF(p), with column D scaled by D!, it is the gather `hilbert_value` ranks.
+    GF(p), with column D scaled by D!, it is `hilbert_matrix`.
     """
     bounds = tuple(bounds)
     check_cells(r, j, d, ((bounds, s),))
-    # positions of D + E in the support do not depend on p
-    t = derivative_template(r, j, (bounds,), d, exactalg.DEFAULT_PRIME)
+    t = derivative_template(r, j, (bounds,), d)
     sup, rows = enumerate_constrained(r, j, bounds), enumerate_constrained(r, j - d, bounds)
     mat = SymbolicMatrix(tuple(
         tuple(None if q == len(sup) else (derivative_coefficient(sup[q], ee), (i, sup[q]))
@@ -366,13 +357,19 @@ def symbolic_matrix(r, j, bounds, d, s):
                             standard_structure(bounds, r, j, d, s))
 
 
+def hilbert_matrix(w, d):
+    """The float64 matrix whose GF(p) rank is h(d): each block's z_i J! mod p gathered at D + E."""
+    check_cells(w.r, w.j, d, tuple((bounds, len(z)) for bounds, z in w.blocks))
+    t = derivative_template(w.r, w.j, tuple(bounds for bounds, _ in w.blocks), d)
+    return t.gather([z % w.p * _support_factorials(w.r, w.j, bounds, w.p) % w.p
+                     for bounds, z in w.blocks])
+
+
 def hilbert_value(w, d):
     """h(d) = dim R_{j-d} * W, the rank of the cropped derivative matrix."""
     if d < 0 or d > w.j:
         return 0
-    check_cells(w.r, w.j, d, tuple((b.bounds, b.n_generators) for b in w.blocks))
-    t = derivative_template(w.r, w.j, tuple(b.bounds for b in w.blocks), d, w.p)
-    return exactalg.rank(t.gather([b.coeffs for b in w.blocks]), w.p)
+    return exactalg.rank(hilbert_matrix(w, d), w.p)
 
 
 def hilbert_vector(w, rng=None):

@@ -323,8 +323,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         if args.command is None:
-            parser.print_usage(sys.stderr)
-            return 1
+            raise UsageError(parser.format_usage().strip())
         exactalg.check_prime(args.prime)
         if args.retries < 0:
             raise UsageError("retries must be nonnegative")

@@ -288,21 +288,22 @@ def _staircase(a, p):
 def rank(mat, p=DEFAULT_PRIME):
     """Rank over GF(p) by Gaussian elimination on a copy.
 
-    mat holds integers, as an int array or a float64 one (below 2^63 in
+    mat holds integers, as an int array or a float one (below 2^63 in
     magnitude); float64 residues, as `DerivativeTemplate.gather` returns,
-    need no mod p pass and no int64 round trip.  All-zero rows and columns
-    are dropped first; a derivative matrix over a support box can be mostly
-    such lines.  A tall matrix is eliminated as its transpose (rank(A) =
-    rank(A^T)), so the rows are the shorter side.  That side over PANEL, and
-    p at most FLOAT_PRIME_LIMIT, send the copy to the blocked float64
-    kernel, its rows in order of their leading column so that each panel is
-    eliminated only over the rows that have started; every other matrix
-    goes to `_eliminate`, whose loop takes at most 2 * rank + 1 steps.
+    need no mod p pass and no int64 round trip.  A float that is no such
+    integer (a fraction, NaN, inf) is refused with a ValueError, not
+    truncated.  All-zero rows and columns are dropped first; a derivative
+    matrix over a support box can be mostly such lines.  A tall matrix is
+    eliminated as its transpose (rank(A) = rank(A^T)), so the rows are the
+    shorter side.  That side over PANEL, and p at most FLOAT_PRIME_LIMIT,
+    send the copy to the blocked float64 kernel, its rows in order of their
+    leading column so that each panel is eliminated only over the rows that
+    have started; every other matrix goes to `_eliminate`, whose loop takes
+    at most 2 * rank + 1 steps.
     """
     p = check_prime(p)
     a = np.asarray(mat)
-    if a.dtype != np.float64:
-        a = a.astype(np.int64, copy=False)
+    a = a.astype(np.float64 if a.dtype.kind == "f" else np.int64, copy=False)
     if a.ndim != 2:
         raise ValueError("rank needs a 2-d matrix")
     rows, cols = a.any(axis=1), a.any(axis=0)
@@ -310,6 +311,10 @@ def rank(mat, p=DEFAULT_PRIME):
         a = a[np.ix_(rows, cols)]
     if a.size == 0:
         return 0
+    if a.dtype == np.float64:
+        with np.errstate(invalid="ignore"):  # NaN, inf and |x| >= 2^63 cast to other values
+            if not (a.astype(np.int64) == a).all():
+                raise ValueError("rank needs integers below 2^63 in magnitude")
     if a.shape[0] > a.shape[1]:
         a = a.T
     if a.shape[0] > PANEL and p <= FLOAT_PRIME_LIMIT:
@@ -328,20 +333,3 @@ def det(mat, p=DEFAULT_PRIME):
         raise ValueError("det needs a square matrix")
     r, d = _eliminate(a, p)
     return d if r == a.shape[0] else 0
-
-
-def evaluate_symbolic(m, assignment, p=DEFAULT_PRIME):
-    """Evaluate a SymbolicMatrix at a variable assignment over GF(p).
-
-    Entries are None (zero) or (lam, var) meaning lam * value(var).
-    """
-    out = np.zeros((m.nrows, m.ncols), dtype=np.int64)
-    for i, row in enumerate(m.entries):
-        for k, cell in enumerate(row):
-            if cell is None:
-                continue
-            lam, var = cell
-            if var not in assignment:
-                raise KeyError("no value assigned to variable %r" % (var,))
-            out[i, k] = lam % p * (assignment[var] % p) % p
-    return out

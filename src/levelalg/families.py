@@ -21,10 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-import numpy as np
-
 from . import exactalg
-from .apolarity import GeneratorBlock, HomogeneousSubspace, check_cells, hilbert_value
+from .apolarity import HomogeneousSubspace, check_cells, hilbert_value
 from .multiindex import count_constrained, enumerate_constrained
 
 FAMILIES = ("F1", "F2", "G1", "G2", "G3", "H1")
@@ -252,11 +250,9 @@ def construct(params, seed, p=exactalg.DEFAULT_PRIME):
     check_cells(r, j, j, ((params.p_bounds, params.s), (params.q_bounds, params.u)))
     m_p = count_constrained(r, j, params.p_bounds)
     m_q = count_constrained(r, j, params.q_bounds)
-    e_block = GeneratorBlock(r, j, params.p_bounds,
-                             exactalg.sample((params.s, m_p), seed, "family-E", p))
-    f_block = GeneratorBlock(r, j, params.q_bounds,
-                             exactalg.sample((params.u, m_q), seed, "family-F", p))
-    return HomogeneousSubspace(r, j, (e_block, f_block), p)
+    return HomogeneousSubspace(r, j, (
+        (params.p_bounds, exactalg.sample((params.s, m_p), seed, "family-E", p)),
+        (params.q_bounds, exactalg.sample((params.u, m_q), seed, "family-F", p))), p)
 
 
 @dataclass(frozen=True)
@@ -326,11 +322,6 @@ def special_construction(kind, seed=0, p=exactalg.DEFAULT_PRIME):
     raise FamilyError("unknown construction %r" % (kind,))
 
 
-def _full_bounds(block):
-    """Bounds padded to the block's full dimension (j = unconstrained)."""
-    return block.bounds + (block.j,) * (block.r - len(block.bounds))
-
-
 def extend_codim(base, k_extra, mode="append"):
     """Embed into r + k_extra variables, adjoining pure-power monomials.
 
@@ -338,23 +329,21 @@ def extend_codim(base, k_extra, mode="append"):
     k_extra); "summed" adds their sum into the single existing generator
     (type preserved).
     """
-    r2 = base.r + k_extra
-    j = base.j
+    r2, j = base.r + k_extra, base.j
+    powers = [(0,) * (base.r + m) + (j,) + (0,) * (k_extra - m - 1) for m in range(k_extra)]
     if mode == "append":
-        blocks = [GeneratorBlock(r2, j, _full_bounds(b) + (0,) * k_extra, b.coeffs)
-                  for b in base.blocks]
-        for m in range(k_extra):
-            bounds = ((0,) * (base.r + m)) + (j,) + ((0,) * (k_extra - m - 1))
-            blocks.append(GeneratorBlock(r2, j, bounds, np.array([[1]])))
-        return HomogeneousSubspace(r2, j, tuple(blocks), base.p)
+        # a bound of j leaves a coordinate free, 0 keeps the new ones out
+        blocks = [(bounds + (j,) * (base.r - len(bounds)) + (0,) * k_extra, z)
+                  for bounds, z in base.blocks]
+        return HomogeneousSubspace(r2, j, tuple(blocks + [(x, [[1]]) for x in powers]), base.p)
     if mode == "summed":
-        if len(base.blocks) != 1 or base.blocks[0].n_generators != 1:
+        if len(base.blocks) != 1 or len(base.blocks[0].coeffs) != 1:
             raise FamilyError("summed extension needs a single-generator base")
-        b = base.blocks[0]
-        terms = {m + (0,) * k_extra: c for m, c in zip(b.support, b.coeffs[0].tolist())}
-        for m in range(k_extra):
-            terms[(0,) * (base.r + m) + (j,) + (0,) * (k_extra - m - 1)] = 1
-        return HomogeneousSubspace.from_sparse(r2, j, [terms], _full_bounds(b) + (j,) * k_extra,
+        bounds, z = base.blocks[0]
+        support = enumerate_constrained(base.r, j, bounds)
+        terms = {m + (0,) * k_extra: c for m, c in zip(support, z[0].tolist())}
+        terms.update(dict.fromkeys(powers, 1))
+        return HomogeneousSubspace.from_sparse(r2, j, [terms], bounds + (j,) * (r2 - len(bounds)),
                                                base.p)
     raise FamilyError("unknown extension mode %r" % (mode,))
 

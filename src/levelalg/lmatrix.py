@@ -229,6 +229,23 @@ def exact_det_polynomial(m):
     return poly
 
 
+def evaluate_symbolic(m, assignment, p=exactalg.DEFAULT_PRIME):
+    """Evaluate a SymbolicMatrix at a variable assignment over GF(p).
+
+    Entries are None (zero) or (lam, var) meaning lam * value(var).
+    """
+    out = np.zeros((m.nrows, m.ncols), dtype=np.int64)
+    for i, row in enumerate(m.entries):
+        for k, cell in enumerate(row):
+            if cell is None:
+                continue
+            lam, var = cell
+            if var not in assignment:
+                raise KeyError("no value assigned to variable %r" % (var,))
+            out[i, k] = lam % p * (assignment[var] % p) % p
+    return out
+
+
 def det_is_nonzero(m, mode="exact", p=exactalg.DEFAULT_PRIME, seed=0):
     """Decide (exact) or probabilistically test (randomized) det != 0.
 
@@ -246,7 +263,7 @@ def det_is_nonzero(m, mode="exact", p=exactalg.DEFAULT_PRIME, seed=0):
             rng = exactalg.stream(seed, "det-trial-%d" % t)
             vals = rng.integers(0, p, size=len(variables))
             assignment = {v: int(x) for v, x in zip(variables, vals)}
-            dense = exactalg.evaluate_symbolic(m, assignment, p)
+            dense = evaluate_symbolic(m, assignment, p)
             if exactalg.det(dense, p) != 0:
                 return True
         return False

@@ -164,7 +164,7 @@ def random_subspace(rng):
             continue
         s = int(rng.integers(1, 4))
         coeffs = rng.integers(0, exactalg.DEFAULT_PRIME, size=(s, m))
-        return apolarity.HomogeneousSubspace.from_dense(r, j, bounds, coeffs)
+        return apolarity.HomogeneousSubspace(r, j, ((bounds, coeffs),))
 
 
 def run_crop_suite(n_subspaces=100, seed=0):
@@ -176,11 +176,12 @@ def run_crop_suite(n_subspaces=100, seed=0):
         b = w.blocks[0]
         d = int(rng.integers(0, w.j + 1))
         # the same forms over the unbounded box give the uncropped matrix
+        support = enumerate_constrained(w.r, w.j, b.bounds)
         whole = apolarity.HomogeneousSubspace.from_sparse(
-            w.r, w.j, [dict(zip(b.support, z)) for z in b.coeffs.tolist()], (), w.p)
+            w.r, w.j, [dict(zip(support, z)) for z in b.coeffs.tolist()], (), w.p)
         if apolarity.hilbert_value(w, d) != apolarity.hilbert_value(whole, d):
             failures.append({"trial": t, "check": "crop-rank"})
-        sym = apolarity.symbolic_matrix(w.r, w.j, b.bounds, d, b.n_generators)
+        sym = apolarity.symbolic_matrix(w.r, w.j, b.bounds, d, len(b.coeffs))
         if sym.matrix.nrows and sym.matrix.ncols:
             if not lmatrix.classify(sym.matrix).is_l_matrix:
                 failures.append({"trial": t, "check": "l-matrix"})

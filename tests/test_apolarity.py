@@ -17,7 +17,7 @@ from test_exactalg import FIRST_INT64_PRIME, LAST_FLOAT_PRIME, rational_rank
 
 from levelalg import apolarity, exactalg, families, lmatrix, multiindex
 from levelalg.apolarity import (GeneratorBlock, HomogeneousSubspace,
-                                derivative_coefficient, derivative_template,
+                                derivative_coefficient, derivative_template, hilbert_matrix,
                                 hilbert_value, hilbert_vector, standard_structure,
                                 sum_space_dimension, symbolic_matrix)
 from levelalg.multiindex import count_constrained, enumerate_constrained
@@ -88,7 +88,7 @@ def random_blocks(seed, p=P, tall=False):
             int(rng.integers(1, 4))
         coeffs = rng.integers(0, p, size=(s, m))
         coeffs[rng.random(coeffs.shape) < 0.2] = 0
-        blocks.append(GeneratorBlock(r, j, bounds, coeffs))
+        blocks.append((bounds, coeffs))
     return HomogeneousSubspace(r, j, tuple(blocks), p)
 
 
@@ -122,9 +122,10 @@ def oracle_matrix(w, d):
                   reverse=True)
     rows = []
     for b in w.blocks:
+        support = enumerate_constrained(w.r, w.j, b.bounds)
         for ee in enumerate_constrained(w.r, w.j - d, b.bounds):
             for z in b.coeffs:
-                g = apply_derivative(ee, {m: int(c) for m, c in zip(b.support, z)}, w.p)
+                g = apply_derivative(ee, {m: int(c) for m, c in zip(support, z)}, w.p)
                 rows.append([g.get(m, 0) for m in cols])
     return np.array(rows, dtype=np.int64).reshape(len(rows), len(cols))
 
@@ -136,21 +137,16 @@ def column_factorials(w, d):
     return np.array([prod(map(factorial, m)) % w.p for m in cols], dtype=np.int64)
 
 
-def gathered(w, d):
-    t = derivative_template(w.r, w.j, tuple(b.bounds for b in w.blocks), d, w.p)
-    return t.gather([b.coeffs for b in w.blocks])
-
-
 def assembled(w, d):
     """The derivative matrix mod p: the gather times diag(1/D!)."""
     inv = [pow(int(f), -1, w.p) for f in column_factorials(w, d)]
-    return gathered(w, d).astype(np.int64) * np.array(inv, dtype=np.int64) % w.p
+    return hilbert_matrix(w, d).astype(np.int64) * np.array(inv, dtype=np.int64) % w.p
 
 
 def assert_gather_is_scaled_oracle(w, d):
     """The gather is exactly oracle_matrix times diag(D!) mod p, in float64; returns the oracle."""
     want = oracle_matrix(w, d)
-    got = gathered(w, d)
+    got = hilbert_matrix(w, d)
     assert got.dtype == np.float64
     assert np.array_equal(got, want * column_factorials(w, d) % w.p)
     return want
@@ -159,8 +155,9 @@ def assert_gather_is_scaled_oracle(w, d):
 def unbounded(w):
     """The forms of a one-block subspace over the unbounded box ()."""
     b = w.blocks[0]
+    support = enumerate_constrained(w.r, w.j, b.bounds)
     return HomogeneousSubspace.from_sparse(
-        w.r, w.j, [dict(zip(b.support, z)) for z in b.coeffs.tolist()], (), w.p)
+        w.r, w.j, [dict(zip(support, z)) for z in b.coeffs.tolist()], (), w.p)
 
 
 def reference_build(generators, bounds, r, j, d, cropped, p=P):
@@ -230,10 +227,10 @@ class TestSubspace:
                 {(2, 4, 0): 1, (3, 3, 0): 4}, {(3, 3, 0): 5}, {(0, 0, 6): P}]
         w = HomogeneousSubspace.from_sparse(3, 6, gens)
         # a term that is 0 mod p is dropped, so it widens no box
-        assert [(b.bounds, b.n_generators) for b in w.blocks] == \
+        assert [(b.bounds, len(b.coeffs)) for b in w.blocks] == \
             [((3, 3, 0), 2), ((2, 4, 0), 1), ((3, 4, 0), 1), ((3, 3, 0), 1), ((0, 0, 0), 1)]
         one = HomogeneousSubspace.from_sparse(3, 6, gens, bounds=(3, 4, 6))
-        assert len(one.blocks) == 1 and one.blocks[0].n_generators == 6
+        assert len(one.blocks) == 1 and len(one.blocks[0].coeffs) == 6
         assert hilbert_vector(w) == hilbert_vector(one)
 
     @given(gens=sparse_generators())
@@ -264,6 +261,29 @@ class TestSubspace:
         with pytest.raises(ValueError):
             HomogeneousSubspace.from_sparse(2, 7, [{(7, 0): 1}], p=7)
 
+    def test_socle_degree_is_bounded(self):
+        big = 3037000493
+        w = HomogeneousSubspace.from_sparse(1, apolarity.MAX_DEGREE, [], p=big)
+        assert hilbert_vector(w, (0, 3)) == (0,) * 4
+        with pytest.raises(ValueError, match="socle degree 65537 over the limit of 65536"):
+            HomogeneousSubspace.from_sparse(1, apolarity.MAX_DEGREE + 1, [], p=big)
+
+    def test_blocks_are_pairs_checked_by_the_subspace(self):
+        # a block is (bounds, coeffs); the subspace states r and j once,
+        # makes the coefficients 2-d int64 and checks their width
+        w = HomogeneousSubspace(3, 4, (([2], [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]),
+                                       ((), np.zeros((2, 15), dtype=np.uint8))))
+        assert all(type(b) is GeneratorBlock for b in w.blocks)
+        assert [b.bounds for b in w.blocks] == [(2,), ()]
+        assert [(b.coeffs.dtype, b.coeffs.shape) for b in w.blocks] == \
+            [(np.int64, (1, 12)), (np.int64, (2, 15))]
+        with pytest.raises(ValueError, match="width 14 != support size 15"):
+            HomogeneousSubspace(3, 4, (((), np.ones((1, 14))),))
+        with pytest.raises(ValueError, match="width 3 != support size 12"):
+            HomogeneousSubspace(3, 4, (((2,), np.ones((1, 2, 3))),))
+        with pytest.raises(ValueError, match="socle degree"):
+            HomogeneousSubspace(3, 4, (((), np.ones((1, 14))),), p=3)
+
 
 class TestHilbert:
     def test_single_monomial(self):
@@ -274,7 +294,7 @@ class TestHilbert:
     def test_generic_binary_form(self):
         # catalecticant matrices of a generic binary form have maximal rank
         coeffs = exactalg.sample((1, 8), 0, "binary-form")
-        w = HomogeneousSubspace.from_dense(2, 7, (), coeffs)
+        w = HomogeneousSubspace(2, 7, (((), coeffs),))
         assert hilbert_vector(w) == (1, 2, 3, 4, 4, 3, 2, 1)
 
     def test_out_of_range(self):
@@ -296,7 +316,7 @@ class TestHilbert:
     def test_gorenstein_symmetry_and_bounds(self, seed, r, j, s):
         m = comb(j + r - 1, r - 1)
         coeffs = exactalg.sample((s, m), seed, "symmetry-test")
-        w = HomogeneousSubspace.from_dense(r, j, (), coeffs)
+        w = HomogeneousSubspace(r, j, (((), coeffs),))
         h = hilbert_vector(w)
         assert h[0] <= 1 and h[j] <= s
         for d in range(j + 1):
@@ -312,17 +332,17 @@ class TestBuildMatrix:
         whole = unbounded(w)
         for d in range(7):
             assert hilbert_value(w, d) == hilbert_value(whole, d)
-            assert gathered(w, d).shape[1] <= gathered(whole, d).shape[1]
+            assert hilbert_matrix(w, d).shape[1] <= hilbert_matrix(whole, d).shape[1]
 
     def test_symbolic_matches_dense(self):
         coeffs = exactalg.sample((2, 4), 1, "symbolic-test")
-        w = HomogeneousSubspace.from_dense(2, 3, (), coeffs)
+        w = HomogeneousSubspace(2, 3, (((), coeffs),))
         sym = symbolic_matrix(2, 3, (), 1, 2)
         assignment = {}
         for i in range(2):
-            for m, c in zip(w.blocks[0].support, coeffs[i]):
+            for m, c in zip(enumerate_constrained(2, 3), coeffs[i]):
                 assignment[(i, m)] = int(c)
-        evaluated = exactalg.evaluate_symbolic(sym.matrix, assignment, P)
+        evaluated = lmatrix.evaluate_symbolic(sym.matrix, assignment, P)
         assert np.array_equal(evaluated, assembled(w, 1))
 
     def test_symbolic_is_l_matrix_with_pattern(self):
@@ -375,8 +395,8 @@ class TestSumAndPredicate:
         want = [min(rep.rows, rep.cols)
                 for rep in (max_rank_predicate(bounds, r, j, d, s) for d in range(j + 1))]
         for attempt in range(4):
-            w = HomogeneousSubspace.from_dense(
-                r, j, bounds, exactalg.sample((s, m), seed + attempt, "max-rank"))
+            w = HomogeneousSubspace(
+                r, j, ((bounds, exactalg.sample((s, m), seed + attempt, "max-rank")),))
             got = [hilbert_value(w, d) for d in range(j + 1)]
             if got == want:
                 break
@@ -391,7 +411,7 @@ class TestSumAndPredicate:
         assert rep.rows == rep.cols == rank + 1 and not rep.guaranteed_full_rank
         m = count_constrained(r, j, bounds)
         for seed in range(5):
-            w = HomogeneousSubspace.from_dense(r, j, bounds, exactalg.sample((2, m), seed, "max-rank"))
+            w = HomogeneousSubspace(r, j, ((bounds, exactalg.sample((2, m), seed, "max-rank")),))
             assert hilbert_value(w, d) == rank
 
     @given(r=st.integers(1, 3), j=st.integers(1, 5),
@@ -407,7 +427,7 @@ class TestSumAndPredicate:
         assume(support)
         index = {m: k for k, m in enumerate(support)}
         z = exactalg.sample((s, len(support)), seed, "rational-rank", p=5)
-        w = HomogeneousSubspace.from_dense(r, j, bounds, z, p)
+        w = HomogeneousSubspace(r, j, ((bounds, z),), p)
         for d in range(j + 1):
             sym = symbolic_matrix(r, j, bounds, d, s).matrix
             ints = np.array([[0 if cell is None else cell[0] * int(z[cell[1][0], index[cell[1][1]]])
@@ -424,10 +444,10 @@ class TestSizeGuard:
         for fam, kw, _, _ in families.GOLDEN:
             prm = families.require_valid(fam, **kw)
             w = families.construct(prm, 0)
-            crops = tuple((b.bounds, b.n_generators) for b in w.blocks)
+            crops = tuple((b.bounds, len(b.coeffs)) for b in w.blocks)
             for d in (prm.i, w.j):
                 rows, cols = apolarity.check_cells(w.r, w.j, d, crops)
-                shape = gathered(w, d).shape
+                shape = hilbert_matrix(w, d).shape
                 assert rows == shape[0] and cols >= shape[1]
                 assert cols == shape[1] or fam not in ("F1", "F2")
 
@@ -473,13 +493,20 @@ class TestDerivativeTemplate:
             want = assert_gather_is_scaled_oracle(w, d)
             assert hilbert_value(w, d) == exactalg.rank(want, w.p)
 
-    def test_prime_is_part_of_the_key(self):
+    def test_one_template_serves_every_prime(self):
+        # positions do not depend on p: after the first prime, no degree
+        # builds a template again, and at each prime the gather is still
+        # exactly the oracle times diag(D!) mod p
         coeffs = exactalg.sample((2, len(enumerate_constrained(3, 4, (3,)))), 4,
                                  "two-primes", p=11)
-        for p in (11, P, 11):
-            w = HomogeneousSubspace.from_dense(3, 4, (3,), coeffs, p)
+        templates = [derivative_template(3, 4, ((3,),), d) for d in range(5)]
+        misses = derivative_template.cache_info().misses
+        for p in (11, P, 101, 11):
+            w = HomogeneousSubspace(3, 4, (((3,), coeffs),), p)
             for d in range(5):
+                assert derivative_template(3, 4, ((3,),), d) is templates[d]
                 assert_gather_is_scaled_oracle(w, d)
+        assert derivative_template.cache_info().misses == misses
 
     def test_refuses_codes_beyond_int64(self):
         # 4^40 > 2^63: mixed-radix codes would wrap and collide, so the
@@ -494,21 +521,30 @@ class TestDerivativeTemplate:
         assert fact.tolist() == [factorial(k) % p for k in range(201)]
         with pytest.raises(ValueError):
             fact[0] = 1
+        # J! per box monomial, in support order, from that one table
+        for r, j, bounds in ((3, 12, (5, 2)), (1, 200, ()), (4, 7, (0, 7, 1, 3))):
+            got = apolarity._support_factorials(r, j, bounds, p)
+            assert got.tolist() == [prod(map(factorial, m)) % p
+                                    for m in enumerate_constrained(r, j, bounds)]
 
     def test_long_single_variable_form(self):
-        # x^2000 with r = 1: h is 1 at each of 2001 degrees, one template per
-        # degree, and the factorial tables are built once, not per template
-        code = ("from levelalg.apolarity import HomogeneousSubspace, hilbert_vector\n"
-                "w = HomogeneousSubspace.from_sparse(1, 2000, [{(2000,): 1}])\n"
-                "assert hilbert_vector(w) == (1,) * 2001\n")
+        # x^10000 with r = 1: h is 1 at each of 10001 degrees, one template
+        # per degree, and the k! table and the box's J! are built once, not
+        # per template
+        code = ("from levelalg import apolarity\n"
+                "w = apolarity.HomogeneousSubspace.from_sparse(1, 10000, [{(10000,): 1}])\n"
+                "assert apolarity.hilbert_vector(w) == (1,) * 10001\n"
+                "assert apolarity._factorials.cache_info().misses == 1\n"
+                "assert apolarity._support_factorials.cache_info().misses == 1\n")
         env = dict(os.environ, PYTHONPATH=str(Path(apolarity.__file__).parents[1]))
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=10)
 
     def test_cached_arrays_are_read_only(self):
         w = random_blocks(7)
-        t = derivative_template(w.r, w.j, tuple(b.bounds for b in w.blocks), 1, w.p)
+        t = derivative_template(w.r, w.j, tuple(b.bounds for b in w.blocks), 1)
         arrays = [t.col_keys] + [v for part in t.blocks for v in vars(part).values()
                                  if isinstance(v, np.ndarray)]
+        arrays += [apolarity._support_factorials(w.r, w.j, b.bounds, w.p) for b in w.blocks]
         assert len(arrays) > 1
         for a in arrays:
             with pytest.raises(ValueError):
@@ -523,13 +559,13 @@ class TestDerivativeTemplate:
         bounds = tuple(b.bounds for b in w.blocks)
         block_cols = [enumerate_constrained(5, 8, box) for box in bounds]
         union = sorted(set().union(*block_cols), reverse=True)
-        t = derivative_template(5, 16, bounds, 8, w.p)
+        t = derivative_template(5, 16, bounds, 8)
         assert len(t.col_keys) == len(union) < sum(map(len, block_cols))
         assert t.col_keys.tolist() == [-sum(x * 17 ** (4 - k) for k, x in enumerate(m))
                                        for m in union]
         g, top = t.gather([b.coeffs for b in w.blocks]), 0
         for part, b, cols in zip(t.blocks, w.blocks, block_cols):
-            rows = g[top:top + len(part.row_keys) * b.n_generators]
+            rows = g[top:top + len(part.row_keys) * len(b.coeffs)]
             outside = [k for k, m in enumerate(union) if m not in cols]
             assert outside and not rows[:, outside].any()
             top += len(rows)
@@ -543,12 +579,12 @@ class TestDerivativeTemplate:
         # matrix, and of its re-expression over () against the uncropped one
         m = len(enumerate_constrained(r, j, bounds))
         coeffs = exactalg.sample((s, m), r + j, "build-reference")
-        w = HomogeneousSubspace.from_dense(r, j, bounds, coeffs)
+        w = HomogeneousSubspace(r, j, ((bounds, coeffs),))
         for d in range(j + 1):
             for cropped, v in ((True, w), (False, unbounded(w))):
                 _, dense, _, cols = reference_build(coeffs, bounds, r, j, d, cropped)
                 assert np.array_equal(assembled(v, d), dense)
-                assert gathered(v, d).shape[1] == len(cols)
+                assert hilbert_matrix(v, d).shape[1] == len(cols)
             sym, _, rows, cols = reference_build(coeffs, bounds, r, j, d, True)
             got = symbolic_matrix(r, j, bounds, d, s)
             assert got.matrix == sym

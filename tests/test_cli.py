@@ -316,6 +316,19 @@ class TestOtherCommands:
         assert res.stderr.startswith("error: bad subspace: monomial codes overflow int64")
         assert res.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("generators", ['[]', '[[{"monomial":[%d],"coeff":1}]]'],
+                             ids=["no-generator", "x^j"])
+    @pytest.mark.parametrize("j", [2 ** 16 + 1, 2 ** 31, 3037000492])
+    def test_huge_socle_degree_refused(self, generators, j):
+        # h would have j + 1 values and the k! table j + 1 entries: past
+        # 2^16 the subspace is refused when it is built, where j = 2^31 used
+        # to die of a MemoryError building the table
+        subspace = '{"r":1,"j":%d,"generators":%s}' % (j, generators.replace("%d", str(j)))
+        res = run_python("-m", "levelalg.cli", "hilbert", subspace, "--prime", "3037000493",
+                         timeout=10, address_space=2 ** 30)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr == "error: bad subspace: socle degree %d over the limit of 65536\n" % j
+
     def test_selftest_quick(self, capsys):
         # every counter pinned: a change in the order of the random draws shows
         code, out, _ = run(capsys, "selftest", "--seed", "1")
@@ -352,7 +365,10 @@ class TestScripts:
 
 class TestPlumbing:
     def test_no_command(self, capsys):
-        assert run(capsys, )[0] == 1
+        # a usage error like any other: one error line that holds the usage
+        code, out, err = run(capsys, )
+        assert code == 1 and out == ""
+        assert err.startswith("error: usage: levelalg") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["hilbert", '{"r":1,"j":2,"generators":[]}', "--range", "-1..3"],

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levelalg import apolarity, exactalg, families
+from levelalg import apolarity, exactalg, families, lmatrix
 from levelalg.gqposet import GQPoset
 from levelalg.lmatrix import GQBlockStructure, SymbolicMatrix
 
@@ -248,8 +248,7 @@ class TestRank:
     def test_blocked_on_a_derivative_matrix(self):
         # G2 (a, b, i, s) = (4, 6, 14, 2) at degree 14: 601 x 441, rank 433
         w = families.construct(families.require_valid("G2", a=4, b=6, i=14, s=2), 0)
-        t = apolarity.derivative_template(w.r, w.j, tuple(b.bounds for b in w.blocks), 14, w.p)
-        m = t.gather([b.coeffs for b in w.blocks])
+        m = apolarity.hilbert_matrix(w, 14)
         assert m.shape == (601, 441)
         assert blocked_rank(m.T, w.p) == oracle_rank(m, w.p) == exactalg.rank(m, w.p) == 433
 
@@ -311,6 +310,30 @@ class TestRank:
         for x in (m, m - p, m + (2 ** 53 // p - 1) * p, -m):
             for y in (x, x.T):
                 assert exactalg.rank(y.astype(np.float64), p) == exactalg.rank(y, p) == want
+
+    @pytest.mark.parametrize("shape, kernel", [((3, 3), "_eliminate"), ((3, 200), "_eliminate"),
+                                               ((70, 70), "_rank_blocked"),
+                                               ((200, 70), "_rank_blocked")])
+    @pytest.mark.parametrize("bad", [0.5, 1.5, -2.5, np.nan, np.inf, -np.inf, 2.0 ** 63])
+    def test_refuses_non_integral_floats(self, shape, kernel, bad):
+        # a float matrix of ones goes to `kernel`; with one entry `bad` it is
+        # refused before any kernel runs, where the cast to int64 used to
+        # truncate 0.5 to 0 and 1.5 to 1
+        called = []
+
+        def spy(name):
+            run = getattr(exactalg, name)
+            return lambda *args: called.append(name) or run(*args)
+
+        with mock.patch.multiple(exactalg, _eliminate=spy("_eliminate"),
+                                 _rank_blocked=spy("_rank_blocked")):
+            m = np.ones(shape)
+            assert exactalg.rank(m) == 1 and called == [kernel]
+            m[-1, -1] = bad
+            for dtype in (np.float64, np.float32):
+                with pytest.raises(ValueError, match="integers below 2\\^63"):
+                    exactalg.rank(m.astype(dtype))
+            assert called == [kernel]
 
     def test_large_prime_exact_or_refused(self):
         m = exactalg.sample((6, 6), 1, "big-prime", exactalg.MAX_PRIME)
@@ -412,8 +435,7 @@ class TestStaircase:
         params = families.require_valid(family, a=a, i=i, s=s)
         w = families.construct(params, 0)
         for d in range(params.i, params.i_f + 1):
-            t = apolarity.derivative_template(w.r, w.j, tuple(b.bounds for b in w.blocks), d, w.p)
-            m = t.gather([b.coeffs for b in w.blocks])
+            m = apolarity.hilbert_matrix(w, d)
             short = m[np.ix_(m.any(axis=1), m.any(axis=0))]
             short = short if short.shape[0] <= short.shape[1] else short.T
             assert exactalg._staircase(short, w.p)[1][-1] >= exactalg.PANEL
@@ -466,5 +488,5 @@ class TestDet:
 class TestEvaluateSymbolic:
     def test_small_matrix(self):
         m = SymbolicMatrix((((2, "x"), None), ((1, "y"), (3, "x"))))
-        got = exactalg.evaluate_symbolic(m, {"x": 5, "y": 7}, p=101)
+        got = lmatrix.evaluate_symbolic(m, {"x": 5, "y": 7}, p=101)
         assert got.tolist() == [[10, 0], [7, 15]]

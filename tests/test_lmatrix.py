@@ -236,7 +236,7 @@ class TestCriterion:
         assert not det_is_nonzero(m, "randomized")
         for seed in range(3):
             z = exactalg.sample((s, width), seed, "singular-derivative")
-            w = apolarity.HomogeneousSubspace.from_dense(r, j, box, z)
+            w = apolarity.HomogeneousSubspace(r, j, ((box, z),))
             assert apolarity.hilbert_value(w, d) == 5
 
     def test_matches_det_on_derivative_matrices(self):

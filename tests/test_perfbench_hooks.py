@@ -48,6 +48,31 @@ def test_hilbert_value_ranks_through_the_public_rank(monkeypatch):
 
     monkeypatch.setattr(levelalg.exactalg, "rank", spy)
     h = levelalg.apolarity.hilbert_vector(w)
-    crops = tuple((b.bounds, b.n_generators) for b in w.blocks)
+    crops = tuple((b.bounds, len(b.coeffs)) for b in w.blocks)
     assert len(h) == w.j + 1
     assert shapes == [levelalg.apolarity.check_cells(w.r, w.j, d, crops) for d in range(w.j + 1)]
+
+
+def test_traced_keys_and_details_read_real_objects():
+    # `perfbench/run.py --trace 1` applies each target's repeat key and
+    # detail to the real arguments and results: _subspace_key reads every
+    # block's bounds and coefficients, verify_drop's detail the report's
+    # attempts.  Wrapped here without install, so no module is patched.
+    spans = load_spans()
+    targets = {name: (fn, key, detail) for mod, attr, name, key, detail in spans.TARGETS
+               for fn in [getattr(getattr(levelalg, mod), attr)]}
+    tracer = spans.Tracer()
+    hilbert_value = tracer.wrap("apolarity.hilbert_value", *targets["apolarity.hilbert_value"])
+    verify_drop = tracer.wrap("families.verify_drop", *targets["families.verify_drop"])
+    params = levelalg.families.require_valid("G3", a=4, b=4, i=8, s=7)
+    w0, w1 = (levelalg.families.construct(params, seed) for seed in (0, 1))
+    for w, d in ((w0, 9), (w1, 9), (w0, 9), (w0, 8)):
+        hilbert_value(w, d)
+    report = verify_drop(params, 0, 2)
+    metrics = tracer.layer_metrics()
+    assert metrics["apolarity.hilbert_value.calls"] == 4
+    assert metrics["apolarity.hilbert_value.repeat_calls"] == 1
+    assert metrics["families.verify_drop.attempts"] == len(report.attempts) >= 1
+    key = spans._subspace_key((w0, 9), {})
+    assert key[:3] == (w0.r, w0.j, w0.p) and key[4] == 9
+    assert [b[:2] for b in key[3]] == [(b.bounds, b.coeffs.shape) for b in w0.blocks]
