@@ -16,10 +16,12 @@ App. A), times diag(1/D!), which is invertible for p > j: so
 `hilbert_value` scales each block's coefficients by J! mod p and ranks
 their `DerivativeTemplate.gather`, with no 1/D! factor.  Where each z_i[J]
 lands depends on r, j, the boxes and d, not on p, so a template holds keys
-only.  Both views are cropped per block: rows range over operator
-exponents inside the box, columns over the union of the per-block target
-supports.  Cropping removes only all-zero rows and columns, so ranks match
-the uncropped matrix, which is the same forms over the unbounded box ().
+only.  `symbolic_matrix` places its entries from its own row and column
+lists, not from a template, so each view is an oracle for the other.
+Both views are cropped per block: rows range over operator exponents
+inside the box, columns over the union of the per-block target supports.
+Cropping removes only all-zero rows and columns, so ranks match the
+uncropped matrix, which is the same forms over the unbounded box ().
 
 No derivative matrix over MAX_CELLS entries, and no monomial list over
 MAX_MONOMIALS, is built: `check_cells` counts them first and refuses them
@@ -29,9 +31,11 @@ when built, since its Hilbert vector and k! table have j + 1 entries.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from operator import add, le, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -70,7 +74,8 @@ class HomogeneousSubspace:
     """A subspace of the degree-j forms, spanned by the blocks' generators.
 
     Each (bounds, coeffs) pair of blocks becomes a GeneratorBlock of 2-d
-    int64 coefficients, checked to be as wide as the box's support."""
+    int64 coefficients, checked to be as wide as the box's support.  A
+    float or bool coefficient is refused with a ValueError, not truncated."""
 
     r: int
     j: int
@@ -85,18 +90,23 @@ class HomogeneousSubspace:
             raise ValueError("socle degree %d over the limit of %d" % (self.j, MAX_DEGREE))
         blocks = []
         for bounds, coeffs in self.blocks:
-            bounds, coeffs = tuple(bounds), np.atleast_2d(np.asarray(coeffs, dtype=np.int64))
+            bounds, z = tuple(bounds), np.atleast_2d(np.asarray(coeffs))
             width = count_constrained(self.r, self.j, bounds)
-            if coeffs.ndim != 2 or coeffs.shape[1] != width:
-                raise ValueError("coefficient width %d != support size %d"
-                                 % (coeffs.shape[-1], width))
-            blocks.append(GeneratorBlock(bounds, coeffs))
+            if z.ndim != 2 or z.shape[1] != width:
+                raise ValueError("coefficient width %d != support size %d" % (z.shape[-1], width))
+            if z.dtype.kind not in "iu" or not isinstance(coeffs, np.ndarray):
+                for x in np.asarray(coeffs, dtype=object).flat:  # [1, True] is an int array
+                    exactalg.json_int(x, "coeff", signed=True)
+            blocks.append(GeneratorBlock(bounds, z.astype(np.int64, copy=False)))
         object.__setattr__(self, "blocks", tuple(blocks))
 
     @classmethod
     def from_sparse(cls, r, j, generators, bounds=None, p=exactalg.DEFAULT_PRIME):
-        """Build from sparse generators [{monomial: coeff}, ...].
+        """Build from sparse generators, each a {monomial: coeff} dict or a
+        list of (monomial, coeff) pairs, the last pair of a monomial winning.
 
+        Every exponent and coefficient is checked by `exactalg.json_int` as
+        it is read, before anything else: a float or bool is refused, not truncated.
         Terms whose coefficient is 0 mod p are dropped.  With an explicit
         bound tuple the subspace is one block.  Without one, a generator's
         box is the componentwise maximum of its monomials, and each run of
@@ -104,15 +114,20 @@ class HomogeneousSubspace:
         derivatives vanish outside its own box, so cropping to it never
         changes ranks.
         """
+        generators = [[(tuple(exactalg.json_int(x, "exponent") for x in mono),
+                        exactalg.json_int(coeff, "coeff", signed=True))
+                       for mono, coeff in (g.items() if isinstance(g, dict) else g)]
+                      for g in generators]
         check_codes(r, j)  # before anything of length r is built
         terms = []
         for g in generators:
+            g = dict(g)
             for mono in g:
                 if len(mono) != r:
                     raise ValueError("every monomial must have r = %d entries" % r)
                 if sum(mono) != j:
-                    raise ValueError("generator monomial %r has degree != %d" % (tuple(mono), j))
-            terms.append({tuple(mono): coeff % p for mono, coeff in g.items() if coeff % p})
+                    raise ValueError("generator monomial %r has degree != %d" % (mono, j))
+            terms.append({mono: coeff % p for mono, coeff in g.items() if coeff % p})
         if bounds is not None:
             runs = [(tuple(bounds), terms)]
         else:
@@ -152,7 +167,8 @@ class HomogeneousSubspace:
     def from_json(cls, obj, p=exactalg.DEFAULT_PRIME):
         """Parse {"r", "j", "generators", "constraint"?} strictly.
 
-        Every number must be an integer: a float or bool is refused, not truncated.
+        Every number must be an integer: a float or bool is refused, not
+        truncated, here for r, j and the bounds, by `from_sparse` for the terms.
         """
         if not isinstance(obj, dict):
             raise ValueError("a subspace must be a JSON object")
@@ -160,9 +176,8 @@ class HomogeneousSubspace:
         bounds = None
         if obj.get("constraint"):
             bounds = tuple(exactalg.json_int(q, "bound") for q in obj["constraint"]["bounds"])
-        gens = [{tuple(exactalg.json_int(x, "exponent") for x in t["monomial"]):
-                 exactalg.json_int(t["coeff"], "coeff", signed=True) for t in g}
-                for g in obj["generators"]]
+        # lazily, so each term is checked before the next is read
+        gens = (((t["monomial"], t["coeff"]) for t in g) for g in obj["generators"])
         return cls.from_sparse(r, j, gens, bounds, p)
 
 
@@ -215,13 +230,6 @@ class _BlockTemplate:
         for v in vars(self).values():
             v.flags.writeable = False
 
-    def positions(self, col_keys):
-        """Support position of D + E per (E, D), the support size where D + E leaves it."""
-        keys = self.row_keys[:, None] + col_keys
-        pos = np.searchsorted(self.keys, keys)
-        pos[self.keys[pos] != keys] = len(self.keys) - 1
-        return pos
-
 
 @dataclass(frozen=True)
 class DerivativeTemplate:
@@ -251,7 +259,9 @@ class DerivativeTemplate:
         for part, z in zip(self.blocks, coeffs):
             zf = np.zeros((len(z), len(part.keys)))
             zf[:, :-1] = z
-            pos = part.positions(self.col_keys)
+            keys = part.row_keys[:, None] + self.col_keys  # key(D + E) per (E, D)
+            pos = np.searchsorted(part.keys, keys)
+            pos[part.keys[pos] != keys] = len(part.keys) - 1
             rows = out[top:top + len(part.row_keys) * len(z)]
             view = rows.reshape(len(part.row_keys), len(z), ncols)
             for i, zi in enumerate(zf):  # a gather per generator beats one strided copy
@@ -314,26 +324,6 @@ class DerivativeMatrix:
     structure: GQBlockStructure
 
 
-def standard_structure(bounds, r, j, d, s):
-    """Block sizes of the cropped matrix under the standard assignment.
-
-    Row block I collects rows whose operator exponent starts with I; column
-    block I collects columns starting with Q - I.  Sizes follow the monomial
-    counts of the unconstrained trailing coordinates.
-    """
-    bounds = tuple(bounds)
-    n = len(bounds)
-    e = j - d
-    q = sum(bounds)
-    poset = GQPoset(bounds)
-    rr, cc = {}, {}
-    for i_el in poset.elements:
-        psum = sum(i_el)
-        rr[i_el] = s * count_constrained(r - n, e - psum)
-        cc[i_el] = count_constrained(r - n, d - (q - psum))
-    return GQBlockStructure(poset, rr, cc)
-
-
 def symbolic_matrix(r, j, bounds, d, s):
     """The (j-d)-th derivative matrix of s forms in M_bounds(j), in the formal z_{i,J}.
 
@@ -341,20 +331,28 @@ def symbolic_matrix(r, j, bounds, d, s):
     columns the box's monomials D of degree d, both in descending
     lexicographic order.  The entry at ((E, i), D) is n(J, E) z_{i,J} for
     J = D + E inside the box, else zero.  Evaluated at coefficients over
-    GF(p), with column D scaled by D!, it is `hilbert_matrix`.
+    GF(p), with column D scaled by D!, it is `hilbert_matrix`.  The G_Q
+    block sizes are counted off the same two lists: row block I holds the
+    rows whose E starts with I, column block I the columns whose D starts
+    with Q - I, and every element of G_Q has both, zeros included.
     """
     bounds = tuple(bounds)
     check_cells(r, j, d, ((bounds, s),))
-    t = derivative_template(r, j, (bounds,), d)
-    sup, rows = enumerate_constrained(r, j, bounds), enumerate_constrained(r, j - d, bounds)
-    mat = SymbolicMatrix(tuple(
-        tuple(None if q == len(sup) else (derivative_coefficient(sup[q], ee), (i, sup[q]))
-              for q in prow)
-        for ee, prow in zip(rows, t.blocks[0].positions(t.col_keys).tolist())
-        for i in range(s)))
-    return DerivativeMatrix(mat, tuple((ee, i) for ee in rows for i in range(s)),
-                            tuple(enumerate_constrained(r, d, bounds)),
-                            standard_structure(bounds, r, j, d, s))
+    rows, cols = enumerate_constrained(r, j - d, bounds), enumerate_constrained(r, d, bounds)
+
+    def entry(ee, i, dd):
+        jj = tuple(map(add, dd, ee))
+        return (derivative_coefficient(jj, ee), (i, jj)) if all(map(le, jj, bounds)) else None
+
+    poset = GQPoset(bounds)
+    starts = Counter(ee[:len(bounds)] for ee in rows)
+    ends = Counter(tuple(map(sub, bounds, dd)) for dd in cols)
+    return DerivativeMatrix(
+        SymbolicMatrix(tuple(tuple(entry(ee, i, dd) for dd in cols)
+                             for ee in rows for i in range(s))),
+        tuple((ee, i) for ee in rows for i in range(s)), tuple(cols),
+        GQBlockStructure(poset, {e: s * starts[e] for e in poset.elements},
+                         {e: ends[e] for e in poset.elements}))
 
 
 def hilbert_matrix(w, d):

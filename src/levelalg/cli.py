@@ -261,12 +261,6 @@ def _cmd_poset(args):
         report["count"] = len(tops)
         report["topsets"] = tops
         return report, 0
-    # each trial is a pass over the topset matrix: bound their product
-    # before any function is drawn
-    cells = len(gqposet.topset_matrix(poset)) * max(len(poset), 64)
-    if args.trials * cells > gqposet.TRIAL_BUDGET:
-        raise UsageError("%d trials of %d topset-matrix cells pass the budget of %d cells"
-                         % (args.trials, cells, gqposet.TRIAL_BUDGET))
     # a trial fails when TPP or TAP does; the witness is the first failing
     # trial's topset, TPP before TAP
     failed = gqposet.random_trials(poset, exactalg.stream(args.seed, "cli-tpp"), args.trials)

@@ -28,7 +28,9 @@ residues already.  Two kernels eliminate them:
   makes the L-matrices and the derivative matrices of boxed generators
   such staircases, and there this skips most of the work.
 
-`json_int` is the integer check that every JSON parser applies to its numbers.
+`json_int` is the integer check that every JSON parser, and every library
+constructor that takes coefficients, exponents or factors, applies to its
+numbers.
 """
 
 from __future__ import annotations
@@ -95,8 +97,8 @@ def check_prime(p):
 
 
 def json_int(x, what, signed=False):
-    """x if it is a JSON integer (not a float or bool) and, unless signed, >= 0."""
-    if type(x) is not int or (x < 0 and not signed):
+    """x if it is an integer (Python or numpy, not a float or bool) and, unless signed, >= 0."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or (x < 0 and not signed):
         raise ValueError("%s must be an integer%s, got %r" % (what, "" if signed else " >= 0", x))
     return x
 
@@ -285,6 +287,14 @@ def _staircase(a, p):
     return b, lead if ordered else lead[order]
 
 
+def _check_integers(a, what):
+    """Refuse, with a ValueError, a float array holding anything but integers below 2^63."""
+    if a.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):  # NaN, inf and |x| >= 2^63 cast to other values
+            if not (a.astype(np.int64) == a).all():
+                raise ValueError("%s needs integers below 2^63 in magnitude" % what)
+
+
 def rank(mat, p=DEFAULT_PRIME):
     """Rank over GF(p) by Gaussian elimination on a copy.
 
@@ -311,10 +321,7 @@ def rank(mat, p=DEFAULT_PRIME):
         a = a[np.ix_(rows, cols)]
     if a.size == 0:
         return 0
-    if a.dtype == np.float64:
-        with np.errstate(invalid="ignore"):  # NaN, inf and |x| >= 2^63 cast to other values
-            if not (a.astype(np.int64) == a).all():
-                raise ValueError("rank needs integers below 2^63 in magnitude")
+    _check_integers(a, "rank")
     if a.shape[0] > a.shape[1]:
         a = a.T
     if a.shape[0] > PANEL and p <= FLOAT_PRIME_LIMIT:
@@ -326,9 +333,11 @@ def rank(mat, p=DEFAULT_PRIME):
 
 
 def det(mat, p=DEFAULT_PRIME):
-    """Determinant over GF(p)."""
+    """Determinant over GF(p); a float that is no integer below 2^63 is refused, as by `rank`."""
     p = check_prime(p)
-    a = np.array(mat, dtype=np.int64) % p
+    a = np.asarray(mat)
+    _check_integers(a, "det")
+    a = a.astype(np.int64, copy=False) % p
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("det needs a square matrix")
     r, d = _eliminate(a, p)

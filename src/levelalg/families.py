@@ -120,11 +120,16 @@ def _shape(family, a, b, c, i):
     raise FamilyError("unknown family %r" % (family,))
 
 
+def _critical_end(i, drop):
+    """i_f, the end of the critical range [i, i_f]: i + 2 for a single drop, i + 3 for a double."""
+    return i + (2 if drop == "single" else 3)
+
+
 def min_sufficient_s(family, a, b=None, c=None, i=None):
     """Smallest s making the (j - i_f)-th cropped matrix of E at least as
     tall as wide: ceil(m_P(i_f) / m_P(j - i_f))."""
     r, j, p_bounds, _, _, _, drop = _shape(family, a, b, c, i)
-    i_f = i + (2 if drop == "single" else 3)
+    i_f = _critical_end(i, drop)
     return _ceil_div(count_constrained(r, i_f, p_bounds),
                      count_constrained(r, j - i_f, p_bounds))
 
@@ -196,7 +201,7 @@ def validate(family, a=None, b=None, c=None, i=None, s=None):
     if bad:
         return ValidationResult(None, tuple(bad))
 
-    i_f = i + (2 if drop == "single" else 3)
+    i_f = _critical_end(i, drop)
     smin = min_sufficient_s(family, a, b, c, i)
     if s < smin:
         bad.append("s = %d below the sufficient minimum %d" % (s, smin))

@@ -33,7 +33,7 @@ from math import lcm, prod
 import numpy as np
 
 TOPSET_GUARD = 1 << 20
-TRIAL_BUDGET = 1 << 28  # poset tpp: trials times topset-matrix cells, counted as the guard counts them
+TRIAL_BUDGET = 1 << 28  # random_trials: trials times topset-matrix cells, counted as the guard counts them
 MAX_WEIGHT = 10  # largest weight in random_order_preserving
 _CHECK_CELLS = 1 << 20  # matrix and product cells per chunk of first_negative_topset
 _TRIAL_GROUP = 64  # functions per first_negative_topset call of random_trials
@@ -250,16 +250,24 @@ def random_order_preserving(poset, rng):
     return w - int(rng.integers(0, int(w.sum()) // n + 1))
 
 
-def random_trials(poset, rng, trials):
+def random_trials(poset, rng, trials, budget=True):
     """The TPP and TAP failures of `trials` random_order_preserving draws from rng.
 
     A list of (trial, check, row) in trial order, check 0 (TPP) before 1
     (TAP): row is the first_negative_topset row of the function w, or of
     its TAP weights n * w - total.  The functions are drawn and checked
     _TRIAL_GROUP at a time, as the columns of [W | n * W - totals], so
-    memory grows with the failures, not with trials.
+    memory grows with the failures, not with trials.  Each trial is a pass
+    over the topset matrix, counted as its guard counts it.  With budget,
+    trials times that count over TRIAL_BUDGET is refused with a ValueError
+    before anything is drawn; the selftest's fixed suites go without, as
+    100 trials over G_(3,3,3) count 1.5e9 cells.
     """
     n = len(poset)
+    cells = len(topset_matrix(poset)) * max(n, 64) if budget else 0
+    if trials * cells > TRIAL_BUDGET:
+        raise ValueError("%d trials of %d topset-matrix cells pass the budget of %d cells"
+                         % (trials, cells, TRIAL_BUDGET))
     failed = []
     for lo in range(0, trials, _TRIAL_GROUP):
         w = np.empty((n, min(_TRIAL_GROUP, trials - lo)), dtype=np.int64)

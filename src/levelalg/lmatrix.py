@@ -44,21 +44,20 @@ MAX_LAMBDA = 3
 
 @dataclass(frozen=True)
 class SymbolicMatrix:
-    """Rectangular grid of entries, each None or (lam, var) with lam >= 1."""
+    """Rectangular grid of entries, each None or (lam, var) with lam an int >= 1.
+
+    A float or bool lam is refused by `exactalg.json_int`, not truncated."""
 
     entries: tuple
 
     def __post_init__(self):
         rows = tuple(tuple(r) for r in self.entries)
+        lams = [exactalg.json_int(lam, "lam")
+                for r in rows for lam, _ in (cell for cell in r if cell is not None)]
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged entry grid")
-        for r in rows:
-            for cell in r:
-                if cell is None:
-                    continue
-                lam, _ = cell
-                if lam < 1:
-                    raise ValueError("nonzero entries need a positive factor")
+        if 0 in lams:  # json_int has refused the negative ones
+            raise ValueError("nonzero entries need a positive factor")
         object.__setattr__(self, "entries", rows)
 
     @property
@@ -84,14 +83,14 @@ class SymbolicMatrix:
 
     @classmethod
     def from_json(cls, grid):
-        """Parse rows of cells, each 0 or [lam, var] with lam an int >= 1, var a string."""
+        """Parse rows of cells, each 0 or [lam, var] with var a string; lam is checked when built."""
         def cell(x):
             if type(x) is int and x == 0:
                 return None
             if type(x) is not list or len(x) != 2 or type(x[1]) is not str:
                 raise ValueError("a cell must be 0 or [lam, var] with var a string, got %r"
                                  % (x,))
-            return exactalg.json_int(x[0], "lam"), x[1]
+            return tuple(x)
         return cls(tuple(tuple(cell(x) for x in row) for row in grid))
 
 

@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, product
 from math import comb, factorial, prod
 from pathlib import Path
 from unittest import mock
@@ -18,8 +18,8 @@ from test_exactalg import FIRST_INT64_PRIME, LAST_FLOAT_PRIME, rational_rank
 from levelalg import apolarity, exactalg, families, lmatrix, multiindex
 from levelalg.apolarity import (GeneratorBlock, HomogeneousSubspace,
                                 derivative_coefficient, derivative_template, hilbert_matrix,
-                                hilbert_value, hilbert_vector, standard_structure,
-                                sum_space_dimension, symbolic_matrix)
+                                hilbert_value, hilbert_vector, sum_space_dimension,
+                                symbolic_matrix)
 from levelalg.multiindex import count_constrained, enumerate_constrained
 
 P = exactalg.DEFAULT_PRIME
@@ -46,6 +46,25 @@ def max_rank_predicate(bounds, r, j, d, s):
     cols = count_constrained(r, d, bounds)
     free = sum(q < j for q in bounds) < r
     return MaxRankReport(rows, cols, free and rows >= cols)
+
+
+def counted_structure(bounds, r, j, d, s):
+    """(Q, r_I, c_I) of the cropped degree-d matrix by the count formula, for every I in G_Q.
+
+    Row block I holds the s rows of each E of degree e = j - d starting
+    with I, column block I the D of degree d starting with Q - I.  Past
+    the n bounded coordinates both are free, so r_I = s m(r - n, e - |I|)
+    and c_I = m(r - n, d - |Q| + |I|).
+    """
+    n, q = len(bounds), sum(bounds)
+    els = list(product(*(range(b + 1) for b in bounds)))
+    return (tuple(bounds), {e: s * count_constrained(r - n, j - d - sum(e)) for e in els},
+            {e: count_constrained(r - n, d - q + sum(e)) for e in els})
+
+
+def structure_of(sym):
+    """(Q, r_I, c_I) of a DerivativeMatrix's block structure."""
+    return sym.structure.poset.q, sym.structure.r, sym.structure.c
 
 
 def apply_derivative(e_idx, f, p=None):
@@ -285,6 +304,40 @@ class TestSubspace:
             HomogeneousSubspace(3, 4, (((), np.ones((1, 14))),), p=3)
 
 
+    @pytest.mark.parametrize("coeffs", [[[0.5, 0.7]], [[True, False]], [[1, True]],
+                                        np.array([[1.0, 2.0]]), np.array([[True, False]]),
+                                        np.array([[1, 0.5]], dtype=object)])
+    def test_refuses_float_and_bool_coefficients(self, coeffs):
+        # these were truncated: [[0.5, 0.7]] was held as [[0, 0]], and h was (0, 0)
+        with pytest.raises(ValueError, match="coeff must be an integer"):
+            HomogeneousSubspace(2, 1, (((), coeffs),))
+
+    @pytest.mark.parametrize("coeffs", [[[1, 2]], [[np.int64(1), np.uint8(2)]],
+                                        np.array([[1, 2]], dtype=np.int32),
+                                        np.array([[1, 2]], dtype=object)])
+    def test_takes_python_and_numpy_int_coefficients(self, coeffs):
+        w = HomogeneousSubspace(2, 1, (((), coeffs),))
+        assert w.blocks[0].coeffs.dtype == np.int64 and w.blocks[0].coeffs.tolist() == [[1, 2]]
+        assert hilbert_vector(w) == (1, 1)
+
+    @pytest.mark.parametrize("gen, what", [({(1, 0): 1.7}, "coeff"), ({(1, 0): True}, "coeff"),
+                                           ({(1, 0): np.float64(2)}, "coeff"),
+                                           ({(True, 0): 1}, "exponent"),
+                                           ({(1.0, 0): 1}, "exponent"),
+                                           ([((1, 0), 1.5), ((1, 0), 2)], "coeff")])
+    def test_from_sparse_refuses_float_and_bool_terms(self, gen, what):
+        # from_sparse(2, 1, [{(1, 0): 1.7}]) stored 1 and {(True, 0): 1} was
+        # x^1; every pair is checked, a replaced one too
+        with pytest.raises(ValueError, match="%s must be an integer" % what):
+            HomogeneousSubspace.from_sparse(2, 1, [gen])
+
+    def test_from_sparse_takes_numpy_ints_and_pairs(self):
+        # a generator is a dict or a list of pairs, the last pair of a monomial winning
+        w = HomogeneousSubspace.from_sparse(
+            2, 1, [{(np.int64(1), 0): np.int64(3)}, [((0, 1), 2), ((0, 1), 5)]], bounds=())
+        assert w.blocks[0].coeffs.tolist() == [[3, 0], [0, 5]]
+
+
 class TestHilbert:
     def test_single_monomial(self):
         # Ann-quotient of x^a y^b: h(d) = #divisors of degree d
@@ -350,14 +403,12 @@ class TestBuildMatrix:
         assert lmatrix.classify(sym.matrix).is_l_matrix
         assert lmatrix.verify_gq_pattern(sym.matrix, sym.structure)
 
-    def test_standard_structure_sizes(self):
-        st_ = standard_structure((2,), 3, 4, 2, s=1)
+    def test_structure_matches_count_formula(self):
+        # r = 3, j = 4, Q = (2,), d = 2, s = 1: r_I = m(2, 2 - I) and
+        # c_I = m(2, I), counted off the row and column lists
         sym = symbolic_matrix(3, 4, (2,), 2, 1)
-        for el in st_.poset.elements:
-            rows = sum(1 for (e, _) in sym.row_index if e[:1] == el)
-            cols = sum(1 for d in sym.col_index
-                       if d[:1] == (st_.poset.q[0] - el[0],))
-            assert st_.r[el] == rows and st_.c[el] == cols
+        assert structure_of(sym) == counted_structure((2,), 3, 4, 2, 1) == \
+            ((2,), {(0,): 3, (1,): 2, (2,): 1}, {(0,): 1, (1,): 2, (2,): 3})
 
 
 class TestSumAndPredicate:
@@ -589,9 +640,7 @@ class TestDerivativeTemplate:
             got = symbolic_matrix(r, j, bounds, d, s)
             assert got.matrix == sym
             assert (got.row_index, got.col_index) == (rows, cols)
-            want = standard_structure(bounds, r, j, d, s)
-            assert (got.structure.poset.q, got.structure.r, got.structure.c) == \
-                (want.poset.q, want.r, want.c)
+            assert structure_of(got) == counted_structure(bounds, r, j, d, s)
 
 
 class TestStrictJson:
@@ -611,6 +660,17 @@ class TestStrictJson:
     def test_rejects(self, obj):
         with pytest.raises(ValueError):
             HomogeneousSubspace.from_json(obj)
+
+    @pytest.mark.parametrize("gens, err", [
+        ([[{"monomial": [1.5, 0], "coeff": 1}, {"monomial": [3, 0]}]], ValueError),
+        ([[{"monomial": [3, 0], "coeff": True}], 5], ValueError),
+        ([[{"monomial": [3, 0]}, {"monomial": [1.5, 0], "coeff": 1}]], KeyError),
+    ])
+    def test_terms_checked_in_order(self, gens, err):
+        # from_sparse checks each term as from_json reads it, so the error
+        # is the first bad term's, whatever the later terms hold
+        with pytest.raises(err):
+            HomogeneousSubspace.from_json({"r": 2, "j": 3, "generators": gens})
 
     def test_negative_and_large_coefficients_reduce_mod_p(self):
         w = HomogeneousSubspace.from_json(

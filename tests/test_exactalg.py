@@ -484,6 +484,15 @@ class TestDet:
         with pytest.raises(ValueError):
             exactalg.det(np.zeros((2, 3), dtype=np.int64))
 
+    @pytest.mark.parametrize("bad", [0.5, 1.5, -2.5, np.nan, np.inf, 2.0 ** 63])
+    def test_refuses_non_integral_floats(self, bad):
+        # float integers are taken as they are; the cast to int64 used to
+        # make det([[1.5, 0], [0, 1]]) 1 and det([[0.5]]) 0
+        assert exactalg.det([[3.0, 0], [0, -1.0]]) == exactalg.DEFAULT_PRIME - 3
+        for m in ([[bad, 0], [0, 1]], np.full((1, 1), bad), np.full((1, 1), bad, np.float32)):
+            with pytest.raises(ValueError, match="det needs integers below 2\\^63"):
+                exactalg.det(m)
+
 
 class TestEvaluateSymbolic:
     def test_small_matrix(self):

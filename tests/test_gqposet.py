@@ -433,6 +433,20 @@ class TestRandomTrials:
         assert [(t, k, topset(poset, row)) for t, k, row in failed] == want
         assert all(type(x) is int for f in failed for x in f)
 
+    def test_trial_budget_refused_before_drawing(self):
+        # G_(2,2) has 20 topset-matrix rows, counted as 20 x 64 cells; the
+        # selftest's suites run without the budget
+        p = GQPoset((2, 2))
+        with mock.patch.object(gqposet, "TRIAL_BUDGET", 10 * 20 * 64):
+            assert random_trials(p, exactalg.stream(0, "test-budget"), 10) == []
+            assert random_trials(p, exactalg.stream(0, "test-budget"), 11, budget=False) == []
+            rng = exactalg.stream(0, "test-budget")
+            state = rng.bit_generator.state
+            with pytest.raises(ValueError, match="^11 trials of 1280 topset-matrix cells pass "
+                                                 "the budget of 12800 cells$"):
+                random_trials(p, rng, 11)
+        assert rng.bit_generator.state == state
+
     def test_memory_does_not_grow_with_trials(self):
         # only failures are kept: the traced peak of 6400 passing trials is
         # within twice that of 64

@@ -3,9 +3,11 @@
 from functools import cache
 from itertools import chain, combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_apolarity import counted_structure, structure_of
 
 from levelalg import apolarity, exactalg
 from levelalg.gqposet import GQPoset, TopsetGuardExceeded, dominates
@@ -87,6 +89,18 @@ class TestSymbolicMatrix:
                      [[[1]]], [[[1, "x", 2]]], [[0.0]], [[False]]):
             with pytest.raises(ValueError):
                 M(grid)
+
+    @pytest.mark.parametrize("lam", [1.5, 2.0, True, np.float64(1), np.bool_(True), -1])
+    def test_refuses_float_and_bool_factors(self, lam):
+        # (1.5, "x") used to be taken, and its determinant was {("x",): 1.5}
+        with pytest.raises(ValueError, match="lam must be an integer >= 0"):
+            SymbolicMatrix((((lam, "x"),),))
+
+    def test_takes_python_and_numpy_int_factors(self):
+        m = SymbolicMatrix((((np.int64(2), "x"), None), (None, (3, "y"))))
+        assert exact_det_polynomial(m) == {("x", "y"): 6}
+        with pytest.raises(ValueError, match="positive factor"):
+            SymbolicMatrix((((np.int64(0), "x"),),))
 
 
 class TestClassify:
@@ -253,6 +267,7 @@ class TestCriterion:
                         and count_constrained(r, j, box)):
                     continue
                 sym = apolarity.symbolic_matrix(r, j, box, d, s)
+                assert structure_of(sym) == counted_structure(box, r, j, d, s)
                 assert classify(sym.matrix).is_l_matrix
                 assert verify_gq_pattern(sym.matrix, sym.structure)
                 try:
